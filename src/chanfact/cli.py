@@ -387,8 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     text = jsonio.dumps(doc) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _emit_error("IOError", str(exc))
+            return 2
     else:
         sys.stdout.write(text)
     if not args.json:

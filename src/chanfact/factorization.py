@@ -19,7 +19,6 @@ from .channel import (
     channel_from_dilation,
     convex_combine_channels,
 )
-from .complement import apply_complement
 from .errors import (
     CertificateInvalid,
     DimensionMismatch,
@@ -27,7 +26,7 @@ from .errors import (
     RankTooHigh,
     TraceNotZero,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frob, kron, psd_factor
+from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -100,11 +99,31 @@ class CertificateReport:
     passed: bool
 
 
+def _block_stacks(cert: FactorizationCertificate) -> list[np.ndarray]:
+    """Per factor f, the blocks V_i^(f) stacked into a p x d_f x d_f array."""
+    return [
+        np.stack([element[f] for element in cert.elements])
+        for f in range(cert.algebra.num_factors)
+    ]
+
+
+def _gram_tensor(v: np.ndarray) -> np.ndarray:
+    """Block Gram tensor W[i, j] = V_i* V_j of stacked blocks, p x p x d x d."""
+    return np.einsum("ixa,jxb->ijab", v.conj(), v)
+
+
 def verify_certificate(
     k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance = DEFAULT_TOL
 ) -> CertificateReport:
     """Check orthonormality, the complement-range identity, and unitarity.
 
+    With A[i, j] = K_i* K_j and the block Gram tensors W_f[i, j] = V_i* V_j,
+    the complement applied to E_ab has (i, j) entry A[j, i]_ba, so the
+    complement residual of block (a, b) in factor f is
+    sum_ij A[j, i]_ba W_f[j, i] - (sum_i A[i, i]_ba) I, and the inner
+    products tau(V_i* V_j) are the weighted traces of W_f[i, j]. The complement
+    residual is the largest Frobenius norm over (a, b, f); the unitarity
+    residual is the Frobenius norm of U_f* U_f - I over all factors together.
     The three residuals are reported unconditionally; ``passed`` is true when
     all of them are at most ``abs_tol``.
     """
@@ -116,46 +135,27 @@ def verify_certificate(
         raise DimensionMismatch(
             f"certificate has {cert.num_elements} elements for {p} Kraus operators"
         )
-    algebra = cert.algebra
+    ops = np.stack(k.operators)
+    kraus_gram = np.einsum("iab,jac->ijbc", ops.conj(), ops)
+    defect = np.einsum("iibc->bc", kraus_gram)
+    kraus_gram = kraus_gram.reshape(p * p, n * n)
 
-    orth = 0.0
-    for i in range(p):
-        for j in range(p):
-            inner = algebra.trace(
-                tuple(
-                    vi.conj().T @ vj
-                    for vi, vj in zip(cert.elements[i], cert.elements[j])
-                )
-            )
-            orth = max(orth, abs(inner - (1.0 if i == j else 0.0)))
-
+    inner = np.zeros((p, p), dtype=complex)
     compl = 0.0
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = 1.0
-            x = apply_complement(k, e)
-            tr = np.trace(x)
-            for f, (d, _) in enumerate(algebra.factors):
-                r = -tr * np.eye(d, dtype=complex)
-                for i in range(p):
-                    for j in range(p):
-                        if x[i, j] != 0:
-                            r += x[i, j] * (
-                                cert.elements[j][f].conj().T @ cert.elements[i][f]
-                            )
-                compl = max(compl, frob(r))
-
     unit_sq = 0.0
-    for f, (d, _) in enumerate(algebra.factors):
-        u = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(p):
-            u += kron(k.operators[i], cert.elements[i][f])
+    for (d, q), v in zip(cert.algebra.factors, _block_stacks(cert)):
+        w = _gram_tensor(v)
+        inner += (q / d) * np.trace(w, axis1=2, axis2=3)
+        r = (kraus_gram.T @ w.reshape(p * p, d * d)).reshape(n, n, d, d)
+        r -= defect[:, :, None, None] * np.eye(d)
+        compl = max(compl, float(np.linalg.norm(r.reshape(n * n, d * d), axis=1).max()))
+        u = np.einsum("iab,ixy->axby", ops, v).reshape(n * d, n * d)
         unit_sq += frob(u.conj().T @ u - np.eye(n * d)) ** 2
+    orth = float(np.abs(inner - np.eye(p)).max())
     unit = float(np.sqrt(unit_sq))
 
     passed = max(orth, compl, unit) <= tol.abs_tol
-    return CertificateReport(float(orth), float(compl), unit, bool(passed))
+    return CertificateReport(orth, compl, unit, bool(passed))
 
 
 def certificate_from_point(
@@ -240,12 +240,8 @@ def decompose_by_factors(
         raise CertificateInvalid("cannot decompose along a failing certificate")
     p = k.num_kraus
     components = []
-    for f, (d, q) in enumerate(cert.algebra.factors):
-        blocks = [cert.elements[i][f] for i in range(p)]
-        gram = np.empty((p, p), dtype=complex)
-        for i in range(p):
-            for j in range(p):
-                gram[i, j] = np.trace(blocks[i].conj().T @ blocks[j]) / d
+    for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, _block_stacks(cert))):
+        gram = np.trace(_gram_tensor(blocks), axis1=2, axis2=3) / d
         qmat = psd_factor(gram, tol)
         if qmat.shape[0] == 0:
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")

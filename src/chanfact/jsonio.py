@@ -61,9 +61,13 @@ def _expect_int(value, where: str, minimum: int = 0) -> int:
 def _expect_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer too large for a float") from None
     if not math.isfinite(value):
         raise SchemaError(f"{where}: must be finite")
-    return float(value)
+    return value
 
 
 def _complex_from(obj, where: str) -> complex:

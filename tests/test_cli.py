@@ -267,6 +267,29 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    ch = write(tmp_path / "deph.json", dephasing_doc())
+    out = tmp_path / "missing" / "out.json"
+    code, doc, err = run(capsys, "choi", "-i", ch, "-o", str(out), "--json")
+    assert code == 2 and doc is None
+    assert json.loads(err)["error"] == "IOError"
+    assert not out.exists()
+
+
+def test_integer_too_large_for_float_exits_2(tmp_path):
+    doc = identity_channel_doc()
+    doc["kraus"][0]["data"][0][0] = [10**400, 0]
+    path = write(tmp_path / "huge.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chanfact.cli", "check", "-i", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+
 def test_domain_failure_exits_1(tmp_path, capsys):
     bad_choi = {
         "dim_in": 1,

@@ -27,7 +27,13 @@ from chanfact import (
     schur_channel_from_gram,
     verify_certificate,
 )
-from helpers import haar_unitary, random_hermitian
+from helpers import (
+    complex_gaussian,
+    haar_unitary,
+    random_hermitian,
+    reference_factor_gram,
+    reference_residuals,
+)
 
 
 def hm_setup():
@@ -225,3 +231,46 @@ def test_verified_certificate_reconstructs_channel_action():
     lifted = u @ kron(x, np.eye(d)) @ u.conj().T
     traced = lifted.reshape(6, d, 6, d).trace(axis1=1, axis2=3) / d
     assert frob(traced - apply_channel(k, x)) < 1e-8
+
+
+def reference_cases():
+    rng = np.random.default_rng(56)
+    dilation = dilation_certificate(haar_unitary(rng, 6), 3, 2)
+    k2, cert2 = dilation_certificate(haar_unitary(rng, 4), 2, 2)
+    k3, cert3 = dilation_certificate(haar_unitary(rng, 6), 2, 3)
+    mixture = combine_certificates(k2, cert2, k3, cert3, 0.35)
+    k, cert = dilation
+    perturbed = FactorizationCertificate(
+        cert.algebra,
+        tuple(
+            (blk + 1e-3 * complex_gaussian(rng, blk.shape),) for (blk,) in cert.elements
+        ),
+    )
+    # unequal scales keep sum K_i* K_i away from a multiple of I
+    scaled = KrausChannel(tuple((0.8 + 0.05 * i) * op for i, op in enumerate(k2.operators)))
+    return {
+        "dilation": dilation,
+        "mixture": mixture,
+        "perturbed": (k, perturbed),
+        "non_tp": (scaled, cert2),
+    }
+
+
+@pytest.mark.parametrize("name", ["dilation", "mixture", "perturbed", "non_tp"])
+def test_verify_matches_reference_loop(name):
+    k, cert = reference_cases()[name]
+    report = verify_certificate(k, cert)
+    orth, compl, unit = reference_residuals(k, cert)
+    assert report.orthonormality_residual == pytest.approx(orth, abs=1e-12)
+    assert report.complement_residual == pytest.approx(compl, abs=1e-12)
+    assert report.unitarity_residual == pytest.approx(unit, abs=1e-12)
+    assert report.passed == (max(orth, compl, unit) <= 1e-9)
+    assert report.passed == (name in ("dilation", "mixture"))
+
+
+@pytest.mark.parametrize("name", ["dilation", "mixture"])
+def test_decompose_grams_match_reference_loop(name):
+    k, cert = reference_cases()[name]
+    components = decompose_by_factors(k, cert)
+    for f, comp in enumerate(components):
+        assert np.abs(comp.gram - reference_factor_gram(cert, f)).max() < 1e-12
