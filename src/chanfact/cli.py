@@ -25,7 +25,6 @@ from .channel import (
 from .complement import (
     apply_complement,
     apply_complement_adjoint,
-    is_extreme_channel,
     selfadjoint_kernel_basis,
 )
 from .errors import ChanfactError, SchemaError
@@ -181,8 +180,8 @@ def _cmd_lmi_build(args, docs, tol):
 
 def _cmd_lmi_check(args, docs, tol):
     _need(docs, 2, "lmi system, point")
-    s = jsonio.lmi_from_json(docs[0])
-    point = jsonio.point_from_json(docs[1])
+    s = jsonio.lmi_from_json(docs[0], tol=tol)
+    point = jsonio.point_from_json(docs[1], tol=tol)
     mem = lmi_membership(s, point, tol)
     doc = {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)}
     return doc, f"lmi-check: psd={mem.psd}, rank={mem.rank}", 0 if mem.psd else 1
@@ -190,8 +189,8 @@ def _cmd_lmi_check(args, docs, tol):
 
 def _cmd_extract(args, docs, tol):
     _need(docs, 2, "lmi system, point")
-    s = jsonio.lmi_from_json(docs[0])
-    point = jsonio.point_from_json(docs[1])
+    s = jsonio.lmi_from_json(docs[0], tol=tol)
+    point = jsonio.point_from_json(docs[1], tol=tol)
     blocks = extract_blocks(s, point, tol)
     doc = {"k": point.k, "blocks": [jsonio.matrix_to_json(b) for b in blocks]}
     return doc, f"extract: {len(blocks)} block(s) of size {point.k}", 0
@@ -248,9 +247,9 @@ def _cmd_extremality(args, docs, tol):
     if not docs:
         raise SchemaError("expected a channel input, then zero or more points")
     k = jsonio.channel_from_json(docs[0])
-    points = [jsonio.point_from_json(obj, f"point{i}") for i, obj in enumerate(docs[1:])]
+    points = [jsonio.point_from_json(obj, f"point{i}", tol) for i, obj in enumerate(docs[1:])]
     s = build_lmi(k, tol)
-    extreme = is_extreme_channel(k, tol)
+    extreme = s.d == 0
     report = extremality_check(k, s, points, tol)
     doc = {
         "extreme_channel": extreme,

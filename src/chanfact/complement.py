@@ -3,7 +3,8 @@
 For a channel with Kraus operators {K_i}_{i=1..p}, the complementary channel
 sends X to the p x p matrix with (a, b) entry Tr(K_b* K_a X); its adjoint
 sends Y to sum_ij y_ij K_i* K_j. The kernel of that adjoint drives the
-extremality test and the LMI system built in :mod:`chanfact.lmi`.
+extremality test and the LMI system built in :mod:`chanfact.lmi`; one real
+SVD of the adjoint on Hermitian Y gives its dimension and Hermitian bases.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .channel import KrausChannel, channel_checks
 from .errors import DimensionMismatch, NotTracePreserving
-from .linalg import DEFAULT_TOL, Tolerance, kernel_basis, rank_tol, unvec, vec
+from .linalg import DEFAULT_TOL, Tolerance
 
 
 @dataclass
@@ -30,17 +31,65 @@ class ComplementData:
     kernel_dim: int
 
 
-def complement_data(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ComplementData:
-    """Build the operator matrix of the complement adjoint and its kernel size."""
+def _kraus_products(k: KrausChannel) -> np.ndarray:
+    """Kraus product tensor A[i, j] = K_i* K_j, shape p x p x n x n."""
+    ops = np.stack(k.operators)
+    return np.einsum("iab,jac->ijbc", ops.conj(), ops)
+
+
+def _hermitian_units(p: int) -> np.ndarray:
+    """p^2 x p^2 matrix whose columns are the row-major flattenings of the
+    HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)
+    of Herm(p), in that order."""
+    iu, ju = np.triu_indices(p, 1)
+    off = np.arange(iu.size)
+    units = np.zeros((p, p, p * p), dtype=complex)
+    units[np.arange(p), np.arange(p), np.arange(p)] = 1.0
+    units[iu, ju, p + off] = units[ju, iu, p + off] = np.sqrt(0.5)
+    units[iu, ju, p + iu.size + off] = 1j * np.sqrt(0.5)
+    units[ju, iu, p + iu.size + off] = -1j * np.sqrt(0.5)
+    return units.reshape(p * p, p * p)
+
+
+def _hermitian_decomposition(
+    k: KrausChannel, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One real SVD of the complement adjoint restricted to Herm(p).
+
+    Y -> sum_ij y_ij K_i* K_j maps Hermitian Y to Hermitian matrices, so its
+    Gram matrix in the basis of :func:`_hermitian_units` is real and the real
+    map has the singular values of the complex one: the rank, and hence the
+    kernel dimension, is that of the n^2 x p^2 operator matrix.
+
+    Returns ``(products, basis, rank)``: the Kraus product tensor, and the
+    p^2 HS-orthonormal Hermitian matrices given by the right singular vectors,
+    range first and kernel last, each coefficient vector signed so that its
+    first entry above ``rel_rank_tol`` is positive.
+    """
     p = k.num_kraus
-    cols = []
-    for i in range(p):
-        left = k.operators[i].conj().T
-        for j in range(p):
-            cols.append(vec(left @ k.operators[j]))
-    mat = np.column_stack(cols)
-    d = p * p - rank_tol(mat, tol)
-    return ComplementData(k, mat, d)
+    products = _kraus_products(k)
+    units = _hermitian_units(p)
+    images = products.reshape(p * p, -1).T @ units
+    real_map = np.vstack([images.real, images.imag])
+    # the kernel needs all p^2 right singular vectors, also when 2n^2 < p^2
+    _, s, vt = np.linalg.svd(real_map, full_matrices=real_map.shape[0] < p * p)
+    rank = int(np.sum(s > tol.rel_rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    lead = np.argmax(np.abs(vt) > tol.rel_rank_tol, axis=1)
+    signs = np.where(vt[np.arange(p * p), lead] < 0.0, -1.0, 1.0)
+    basis = ((signs[:, None] * vt) @ units.T).reshape(p * p, p, p)
+    return products, basis, rank
+
+
+def complement_data(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ComplementData:
+    """Operator matrix of the complement adjoint and its kernel size.
+
+    The matrix is a reshape of the Kraus product tensor; the kernel size
+    comes from the rank of the Hermitian decomposition.
+    """
+    n, p = k.dim_in, k.num_kraus
+    products, _, rank = _hermitian_decomposition(k, tol)
+    mat = products.transpose(0, 1, 3, 2).reshape(p * p, n * n).T
+    return ComplementData(k, mat, p * p - rank)
 
 
 def apply_complement(k: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -63,100 +112,39 @@ def apply_complement_adjoint(k: KrausChannel, y: np.ndarray) -> np.ndarray:
     p = k.num_kraus
     if y.shape != (p, p):
         raise DimensionMismatch(f"input must be {p}x{p}, got {y.shape}")
-    out = np.zeros((k.dim_in, k.dim_in), dtype=complex)
-    for i in range(p):
-        left = k.operators[i].conj().T
-        for j in range(p):
-            if y[i, j] != 0:
-                out += y[i, j] * (left @ k.operators[j])
-    return out
-
-
-def _real_vector(h: np.ndarray) -> np.ndarray:
-    return np.concatenate([h.real.ravel(), h.imag.ravel()])
-
-
-def _real_rank(columns: list[np.ndarray], tol: Tolerance) -> int:
-    if not columns:
-        return 0
-    s = np.linalg.svd(np.column_stack(columns), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol.rel_rank_tol * s[0]))
+    return np.einsum("ij,ijbc->bc", y, _kraus_products(k))
 
 
 def selfadjoint_kernel_basis(
     k: KrausChannel, tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Hermitian basis of the kernel of the complement adjoint.
+    """Hermitian, HS-orthonormal basis of the kernel of the complement adjoint.
 
-    Starting from a complex orthonormal kernel basis {B}, the candidates
-    (B + B*)/2 and (B - B*)/(2i) are filtered by a greedy real-linear rank
-    test and then orthonormalized in the Hilbert-Schmidt inner product. The
-    kernel is closed under adjoints, so the result has kernel_dim elements.
-    Requires a trace-preserving channel.
+    The kernel is closed under adjoints, so its Hermitian part has real
+    dimension kernel_dim. The basis is read off the trailing right singular
+    vectors of one real SVD of the adjoint restricted to Herm(p), written in
+    the basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2; each coefficient
+    vector's first entry above ``rel_rank_tol`` is positive. Requires a
+    trace-preserving channel.
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("kernel basis requires a trace-preserving channel")
-    data = complement_data(k, tol)
-    p = k.num_kraus
-    raw = kernel_basis(data.adjoint_operator_matrix, tol)
-    candidates = []
-    for c in raw:
-        y = c.reshape(p, p)
-        candidates.append((y + y.conj().T) / 2.0)
-        candidates.append((y - y.conj().T) / 2.0j)
-    selected: list[np.ndarray] = []
-    vectors: list[np.ndarray] = []
-    for cand in candidates:
-        if np.linalg.norm(cand) <= tol.abs_tol:
-            continue
-        rv = _real_vector(cand)
-        if _real_rank(vectors + [rv], tol) > len(vectors):
-            selected.append(cand)
-            vectors.append(rv)
-    if not selected:
-        return []
-    q, r = np.linalg.qr(np.column_stack(vectors))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    half = p * p
-    basis = []
-    for j in range(q.shape[1]):
-        h = q[:half, j].reshape(p, p) + 1j * q[half:, j].reshape(p, p)
-        basis.append((h + h.conj().T) / 2.0)
-    return basis
+    _, basis, rank = _hermitian_decomposition(k, tol)
+    return list(basis[rank:])
 
 
 def complement_range_basis(
     k: KrausChannel, tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """HS-orthonormal basis of span{Phi^C(E_ab)} inside M_p.
+    """Hermitian, HS-orthonormal basis of span{Phi^C(E_ab)} inside M_p.
 
-    Together with :func:`selfadjoint_kernel_basis` this decomposes M_p: the
-    dimensions add up to p^2.
+    The range is the orthogonal complement of the kernel of the adjoint and,
+    like it, closed under adjoints: the basis is the leading right singular
+    vectors of the same decomposition as :func:`selfadjoint_kernel_basis`, so
+    the two together are an HS-orthonormal basis of M_p.
     """
-    n, p = k.dim_in, k.num_kraus
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = 1.0
-            cols.append(vec(apply_complement(k, e)))
-    mat = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    r = int(np.sum(s > tol.rel_rank_tol * smax)) if smax > 0.0 else 0
-    basis = []
-    for j in range(r):
-        col = np.array(u[:, j])
-        idx = np.flatnonzero(np.abs(col) > tol.rel_rank_tol)
-        if idx.size:
-            phase = col[idx[0]]
-            col = col * (phase.conjugate() / abs(phase))
-        basis.append(unvec(col, p, p))
-    return basis
+    _, basis, rank = _hermitian_decomposition(k, tol)
+    return list(basis[:rank])
 
 
 def is_extreme_channel(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -168,4 +156,5 @@ def is_extreme_channel(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("extremality test requires a trace-preserving channel")
-    return complement_data(k, tol).kernel_dim == 0
+    _, _, rank = _hermitian_decomposition(k, tol)
+    return rank == k.num_kraus**2

@@ -41,6 +41,10 @@ class RankTooHigh(ChanfactError):
     """An LMI solution exceeds the rank bound of the requested factor size."""
 
 
+class DependentBasis(ChanfactError):
+    """An LMI system basis is real-linearly dependent, so coordinates are not unique."""
+
+
 class NotInSpan(ChanfactError):
     """A Gram matrix of blocks does not lie in the affine span of the system."""
 

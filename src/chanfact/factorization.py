@@ -19,6 +19,7 @@ from .channel import (
     channel_from_dilation,
     convex_combine_channels,
 )
+from .complement import _kraus_products
 from .errors import (
     CertificateInvalid,
     DimensionMismatch,
@@ -136,7 +137,7 @@ def verify_certificate(
             f"certificate has {cert.num_elements} elements for {p} Kraus operators"
         )
     ops = np.stack(k.operators)
-    kraus_gram = np.einsum("iab,jac->ijbc", ops.conj(), ops)
+    kraus_gram = _kraus_products(k)
     defect = np.einsum("iibc->bc", kraus_gram)
     kraus_gram = kraus_gram.reshape(p * p, n * n)
 

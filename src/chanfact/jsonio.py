@@ -15,6 +15,7 @@ import numpy as np
 from .channel import ChoiMatrix, KrausChannel
 from .errors import SchemaError
 from .factorization import FactorAlgebra, FactorizationCertificate
+from .linalg import DEFAULT_TOL, Tolerance
 from .lmi import LmiPoint, LmiSystem
 from .schur import GramVectors
 
@@ -180,7 +181,7 @@ def lmi_to_json(s: LmiSystem) -> dict:
     return {"p": s.p, "z": [matrix_to_json(zi) for zi in s.z]}
 
 
-def lmi_from_json(obj, where: str = "lmi") -> LmiSystem:
+def lmi_from_json(obj, where: str = "lmi", tol: Tolerance = DEFAULT_TOL) -> LmiSystem:
     obj = _expect_dict(obj, ("p", "z"), where)
     p = _expect_int(obj["p"], f"{where}.p", minimum=1)
     zs = obj["z"]
@@ -190,7 +191,7 @@ def lmi_from_json(obj, where: str = "lmi") -> LmiSystem:
     for i, zi in enumerate(mats):
         if zi.shape != (p, p):
             raise SchemaError(f"{where}.z[{i}]: expected shape {(p, p)}")
-        if np.linalg.norm(zi - zi.conj().T) > 1e-9 * max(1.0, np.linalg.norm(zi)):
+        if np.linalg.norm(zi - zi.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(zi)):
             raise SchemaError(f"{where}.z[{i}]: must be Hermitian")
     return LmiSystem(p, tuple(mats))
 
@@ -199,7 +200,7 @@ def point_to_json(point: LmiPoint) -> dict:
     return {"k": point.k, "a": [matrix_to_json(ai) for ai in point.a]}
 
 
-def point_from_json(obj, where: str = "point") -> LmiPoint:
+def point_from_json(obj, where: str = "point", tol: Tolerance = DEFAULT_TOL) -> LmiPoint:
     obj = _expect_dict(obj, ("k", "a"), where)
     k = _expect_int(obj["k"], f"{where}.k", minimum=1)
     items = obj["a"]
@@ -209,7 +210,7 @@ def point_from_json(obj, where: str = "point") -> LmiPoint:
     for i, ai in enumerate(mats):
         if ai.shape != (k, k):
             raise SchemaError(f"{where}.a[{i}]: expected shape {(k, k)}")
-        if np.linalg.norm(ai - ai.conj().T) > 1e-9 * max(1.0, np.linalg.norm(ai)):
+        if np.linalg.norm(ai - ai.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(ai)):
             raise SchemaError(f"{where}.a[{i}]: must be Hermitian")
     return LmiPoint(k, tuple(mats))
 

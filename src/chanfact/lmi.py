@@ -19,6 +19,7 @@ import numpy as np
 from .channel import KrausChannel
 from .complement import selfadjoint_kernel_basis
 from .errors import (
+    DependentBasis,
     DimensionMismatch,
     NotInSpan,
     NotInSpectrahedron,
@@ -30,7 +31,7 @@ from .linalg import DEFAULT_TOL, Tolerance, frob, kron, psd_factor, rank_tol
 
 @dataclass
 class LmiSystem:
-    """Matrix pencil data: p and a Hermitian, real-linearly independent basis."""
+    """Pencil data: p and a Hermitian, real-linearly independent basis (see point_from_blocks)."""
 
     p: int
     z: tuple[np.ndarray, ...]
@@ -123,6 +124,8 @@ def point_from_blocks(
 
     Solves the least-squares problem G - I (x) I = sum_i Z_i (x) A_i over the
     system basis and raises NotInSpan when the residual is above tolerance.
+    Raises DependentBasis when the real Gram matrix of the basis is rank
+    deficient, since the coefficients are then not unique.
     """
     if len(blocks) != s.p:
         raise DimensionMismatch(f"expected {s.p} blocks, got {len(blocks)}")
@@ -133,22 +136,17 @@ def point_from_blocks(
             raise DimensionMismatch("blocks must be square and equally sized")
     v = np.column_stack(mats).reshape(k, s.p * k)
     g = v.conj().T @ v
-    resid = g - np.eye(s.p * k, dtype=complex)
+    a = []
     if s.d:
-        gzz = np.empty((s.d, s.d))
-        contracted = np.empty((s.d, k * k), dtype=complex)
-        gblocks = resid.reshape(s.p, k, s.p, k)
-        for i, zi in enumerate(s.z):
-            for j, zj in enumerate(s.z):
-                gzz[i, j] = np.vdot(zi, zj).real
-            contracted[i] = np.einsum("ab,aubv->uv", zi.conj(), gblocks).reshape(-1)
-        coeff = np.linalg.solve(gzz, contracted)
-        a = []
-        for i in range(s.d):
-            ai = coeff[i].reshape(k, k)
-            a.append((ai + ai.conj().T) / 2.0)
-    else:
-        a = []
+        flat = np.stack(s.z).reshape(s.d, s.p * s.p)
+        gzz = (flat.conj() @ flat.T).real
+        rank = rank_tol(gzz, tol)
+        if rank < s.d:
+            raise DependentBasis(f"basis Gram matrix has rank {rank} < d={s.d}")
+        resid = (g - np.eye(s.p * k)).reshape(s.p, k, s.p, k)
+        contracted = flat.conj() @ resid.transpose(0, 2, 1, 3).reshape(s.p * s.p, k * k)
+        coeff = np.linalg.solve(gzz, contracted).reshape(s.d, k, k)
+        a = list((coeff + coeff.conj().transpose(0, 2, 1)) / 2.0)
     point = LmiPoint(k, tuple(a))
     rebuilt = lmi_eval(s, point)
     if frob(g - rebuilt) > tol.abs_tol * max(1.0, frob(g)):

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from chanfact import KrausChannel, apply_complement, frob, kron
+from chanfact import (
+    DEFAULT_TOL,
+    KrausChannel,
+    apply_complement,
+    complement_data,
+    frob,
+    kernel_basis,
+    kron,
+)
 
 
 def complex_gaussian(rng, shape):
@@ -88,3 +96,37 @@ def reference_factor_gram(cert, f):
         for j in range(p):
             gram[i, j] = np.trace(cert.elements[i][f].conj().T @ cert.elements[j][f]) / d
     return gram
+
+
+def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
+    """Greedy Hermitian kernel basis, one real-rank SVD per candidate.
+
+    The reference for the single decomposition in ``selfadjoint_kernel_basis``:
+    from a complex orthonormal kernel basis {B}, the candidates (B + B*)/2 and
+    (B - B*)/(2i) that raise the real-linear rank are kept, then made
+    HS-orthonormal by a QR with nonnegative diagonal.
+    """
+    p = k.num_kraus
+    candidates = []
+    for c in kernel_basis(complement_data(k, tol).adjoint_operator_matrix, tol):
+        y = c.reshape(p, p)
+        candidates.append((y + y.conj().T) / 2.0)
+        candidates.append((y - y.conj().T) / 2.0j)
+    vectors = []
+    for cand in candidates:
+        if np.linalg.norm(cand) <= tol.abs_tol:
+            continue
+        rv = np.concatenate([cand.real.ravel(), cand.imag.ravel()])
+        s = np.linalg.svd(np.column_stack(vectors + [rv]), compute_uv=False)
+        if np.sum(s > tol.rel_rank_tol * s[0]) > len(vectors):
+            vectors.append(rv)
+    if not vectors:
+        return []
+    q, r = np.linalg.qr(np.column_stack(vectors))
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    half = p * p
+    basis = []
+    for j in range(q.shape[1]):
+        h = q[:half, j].reshape(p, p) + 1j * q[half:, j].reshape(p, p)
+        basis.append((h + h.conj().T) / 2.0)
+    return basis

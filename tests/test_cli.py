@@ -10,6 +10,7 @@ from chanfact import (
     LmiPoint,
     LmiSystem,
     certificate_from_point,
+    channel_from_dilation,
     choi_from_kraus,
     hm_derived_point,
     hm_example,
@@ -218,6 +219,11 @@ def test_extremality_exit_codes(tmp_path, capsys):
     assert doc["all_consistent"] is False
     assert doc["candidates"][0]["rank"] == 1
 
+    ident = write(tmp_path / "id.json", identity_channel_doc())
+    code, doc, _ = run(capsys, "extremality", "-i", ident)
+    assert code == 0
+    assert doc["extreme_channel"] is True and doc["d"] == 0
+
 
 def test_example_hm_outputs_data(capsys):
     code, doc, _ = run(capsys, "example", "hm")
@@ -243,6 +249,37 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert code == 0 and doc is None
     run(capsys, "choi", "-i", ch, "-o", str(out2), "--json")
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_kernel_builds_are_byte_identical(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    w, _ = np.linalg.qr(g)
+    ch = write(tmp_path / "dil.json", jsonio.channel_to_json(channel_from_dilation(w, 3, 3)))
+    for command in ("kernel-basis", "lmi-build"):
+        outputs = []
+        for _ in range(2):
+            assert main([command, "-i", ch, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["z"]) == 72
+
+
+def test_lmi_hermitian_check_follows_tol(tmp_path, capsys):
+    # anti-Hermitian part about 1e-8 of the norm: above the default 1e-9, below 1e-6
+    z = np.diag([1.0, -1.0]) + 5e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    lmi = write(tmp_path / "lmi.json", {"p": 2, "z": [jsonio.matrix_to_json(z)]})
+    pt = write(tmp_path / "pt.json", jsonio.point_to_json(LmiPoint(1, (np.array([[0.1]]),))))
+    code, _, err = run(capsys, "lmi-check", "-i", lmi, "-i", pt)
+    assert code == 2 and json.loads(err)["error"] == "SchemaError"
+    code, doc, _ = run(capsys, "lmi-check", "-i", lmi, "-i", pt, "--tol", "1e-6")
+    assert code == 0 and doc["psd"] is True
+    bad = write(tmp_path / "bad.json", {"k": 2, "a": [jsonio.matrix_to_json(z)]})
+    good = write(tmp_path / "good.json", {"p": 2, "z": [jsonio.matrix_to_json(np.diag([1.0, -1.0]))]})
+    code, _, err = run(capsys, "lmi-check", "-i", good, "-i", bad)
+    assert code == 2 and json.loads(err)["error"] == "SchemaError"
+    code, doc, _ = run(capsys, "lmi-check", "-i", good, "-i", bad, "--tol", "1e-6")
+    assert code == 0
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):

@@ -6,18 +6,39 @@ from chanfact import (
     NotTracePreserving,
     apply_complement,
     apply_complement_adjoint,
+    channel_from_dilation,
     complement_data,
     complement_range_basis,
     frob,
+    hm_example,
     is_extreme_channel,
+    rank_tol,
+    schur_channel_from_gram,
     selfadjoint_kernel_basis,
     vec,
 )
-from helpers import complex_gaussian, haar_unitary, random_hermitian, random_tp_channel
+from helpers import (
+    complex_gaussian,
+    haar_unitary,
+    random_hermitian,
+    random_tp_channel,
+    reference_selfadjoint_kernel_basis,
+)
 
 
 def dephasing():
     return KrausChannel((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+
+def dilation(rng, n, k):
+    return channel_from_dilation(haar_unitary(rng, n * k), n, k)
+
+
+def hermitian_coefficients(h):
+    """Coordinates of a Hermitian matrix in E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2."""
+    iu, ju = np.triu_indices(h.shape[0], 1)
+    off = np.sqrt(2.0) * h[iu, ju]
+    return np.concatenate([np.diag(h).real, off.real, off.imag])
 
 
 def test_complement_of_dephasing_is_dephasing():
@@ -63,14 +84,16 @@ def test_kernel_dim_of_dephasing():
 
 
 def test_selfadjoint_kernel_basis_dephasing():
+    # hand-checked: the kernel is spanned by the off-diagonal Hermitian units,
+    # each with its single nonzero coefficient made positive
     basis = selfadjoint_kernel_basis(dephasing())
+    expected = [
+        np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0),
+        np.array([[0.0, 1.0j], [-1.0j, 0.0]]) / np.sqrt(2.0),
+    ]
     assert len(basis) == 2
-    for h in basis:
-        assert frob(h - h.conj().T) < 1e-12
-        assert frob(apply_complement_adjoint(dephasing(), h)) < 1e-12
-        assert abs(h[0, 0]) < 1e-12 and abs(h[1, 1]) < 1e-12
-    gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    assert frob(gram - np.eye(2)) < 1e-12
+    for h, e in zip(basis, expected):
+        assert frob(h - e) < 1e-15
 
 
 def test_selfadjoint_kernel_basis_is_deterministic():
@@ -80,6 +103,41 @@ def test_selfadjoint_kernel_basis_is_deterministic():
         assert np.array_equal(x, y)
 
 
+def test_selfadjoint_kernel_basis_matches_greedy_reference():
+    rng = np.random.default_rng(27)
+    u1, u2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    cases = {
+        "hm": schur_channel_from_gram(hm_example().w),
+        "dephasing": dephasing(),
+        "dilation p=4": dilation(rng, 2, 2),
+        "dilation p=9": dilation(rng, 3, 3),
+        "two-unitary mixture": KrausChannel((np.sqrt(0.5) * u1, np.sqrt(0.5) * u2)),
+        "extreme": random_tp_channel(rng, 3, 2),
+    }
+    dims = {}
+    for name, k in cases.items():
+        p = k.num_kraus
+        basis = selfadjoint_kernel_basis(k)
+        reference = reference_selfadjoint_kernel_basis(k)
+        d = len(basis)
+        dims[name] = d
+        assert d == len(reference), name
+        assert d == p * p - rank_tol(complement_data(k).adjoint_operator_matrix), name
+        assert is_extreme_channel(k) == (d == 0), name
+        if d == 0:
+            continue
+        flat = np.array([h.ravel() for h in basis])
+        ref = np.array([h.ravel() for h in reference])
+        assert frob(flat.T @ flat.conj() - ref.T @ ref.conj()) < 1e-10, name
+        assert frob(flat.conj() @ flat.T - np.eye(d)) < 1e-10, name
+        for h in basis:
+            assert frob(h - h.conj().T) == 0.0, name
+            assert frob(apply_complement_adjoint(k, h)) < 1e-10, name
+            c = hermitian_coefficients(h)
+            assert c[np.flatnonzero(np.abs(c) > 1e-9)[0]] > 0.0, name
+    assert dims["extreme"] == 0 and dims["hm"] == 3 and dims["dilation p=9"] == 72
+
+
 def test_selfadjoint_kernel_basis_requires_tp():
     with pytest.raises(NotTracePreserving):
         selfadjoint_kernel_basis(KrausChannel((np.eye(2) * 0.4,)))
@@ -87,13 +145,15 @@ def test_selfadjoint_kernel_basis_requires_tp():
 
 def test_kernel_plus_range_fills_matrix_space():
     rng = np.random.default_rng(24)
-    for n, p in [(2, 2), (3, 2), (2, 3)]:
-        k = random_tp_channel(rng, n, p)
+    channels = [random_tp_channel(rng, n, p) for n, p in [(2, 2), (3, 2), (2, 3)]]
+    for k in channels + [dilation(rng, 3, 3)]:
+        p = k.num_kraus
         kernel = selfadjoint_kernel_basis(k)
         image = complement_range_basis(k)
         assert len(kernel) + len(image) == p * p
-        for h in kernel:
-            for g in image:
+        for g in image:
+            assert frob(g - g.conj().T) == 0.0
+            for h in kernel:
                 assert abs(np.vdot(g, h)) < 1e-9
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chanfact import (
+    DependentBasis,
     DimensionMismatch,
     LmiPoint,
     LmiSystem,
@@ -118,6 +119,13 @@ def test_point_from_blocks_roundtrip():
     assert recovered.k == 2
     for a, b in zip(recovered.a, point.a):
         assert frob(a - b) < 1e-9
+
+
+def test_point_from_blocks_rejects_dependent_basis():
+    z = np.diag([1.0, -1.0]).astype(complex)
+    s = LmiSystem(2, (z, z))
+    with pytest.raises(DependentBasis):
+        point_from_blocks(s, [np.array([[1.0]]), np.array([[0.0]])])
 
 
 def test_point_from_blocks_rejects_outside_span():
