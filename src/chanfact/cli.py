@@ -98,6 +98,11 @@ def _need(docs: list, count: int, what: str) -> None:
         raise SchemaError(f"expected {count} input file(s): {what}; got {len(docs)}")
 
 
+def _need_square(x: np.ndarray, size: int, what: str) -> None:
+    if x.shape != (size, size):
+        raise SchemaError(f"matrix: expected shape {(size, size)} for {what}, got {x.shape}")
+
+
 def _cmd_choi(args, docs, tol):
     _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
@@ -129,7 +134,12 @@ def _cmd_apply(args, docs, tol):
     _need(docs, 2, "channel, matrix")
     k = jsonio.channel_from_json(docs[0])
     x = jsonio.matrix_from_json(docs[1])
-    y = apply_adjoint(k, x) if args.adjoint else apply_channel(k, x)
+    if args.adjoint:
+        _need_square(x, k.dim_out, "the channel's adjoint")
+        y = apply_adjoint(k, x)
+    else:
+        _need_square(x, k.dim_in, "the channel")
+        y = apply_channel(k, x)
     return {"matrix": jsonio.matrix_to_json(y)}, f"apply: {y.shape[0]}x{y.shape[1]} result", 0
 
 
@@ -145,7 +155,12 @@ def _cmd_complement(args, docs, tol):
     _need(docs, 2, "channel, matrix")
     k = jsonio.channel_from_json(docs[0])
     x = jsonio.matrix_from_json(docs[1])
-    y = apply_complement_adjoint(k, x) if args.adjoint else apply_complement(k, x)
+    if args.adjoint:
+        _need_square(x, k.num_kraus, "the complement's adjoint")
+        y = apply_complement_adjoint(k, x)
+    else:
+        _need_square(x, k.dim_in, "the complement")
+        y = apply_complement(k, x)
     return {"matrix": jsonio.matrix_to_json(y)}, f"complement: {y.shape[0]}x{y.shape[1]} result", 0
 
 
@@ -367,7 +382,10 @@ def main(argv: list[str] | None = None) -> int:
         docs = []
         for path in args.input:
             with open(path, "r", encoding="utf-8") as fh:
-                docs.append(json.load(fh))
+                try:
+                    docs.append(json.load(fh))
+                except RecursionError:
+                    raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
         doc, summary, code = _HANDLERS[args.command](args, docs, tol)
     except SchemaError as exc:
         _emit_error("SchemaError", str(exc))

@@ -7,14 +7,16 @@ Serialization then parsing reproduces every value bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
 from .errors import SchemaError
-from .factorization import FactorAlgebra, FactorizationCertificate
+from .factorization import WEIGHT_SUM_TOL, FactorAlgebra, FactorizationCertificate
 from .linalg import DEFAULT_TOL, Tolerance
 from .lmi import LmiPoint, LmiSystem
 from .schur import GramVectors
@@ -36,10 +38,50 @@ def dumps(doc) -> str:
     if isinstance(doc, str):
         return json.dumps(doc)
     if isinstance(doc, (list, tuple)):
+        text = _dump_complex_rows(doc)
+        if text is not None:
+            return text
         return "[" + ",".join(dumps(item) for item in doc) + "]"
     if isinstance(doc, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{dumps(v)}" for k, v in doc.items()) + "}"
     raise TypeError(f"cannot serialize {type(doc).__name__}")
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(cols: int) -> str:
+    return "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+
+
+def _types(items) -> set:
+    return set(map(type, items))
+
+
+def _dump_complex_rows(doc) -> str | None:
+    """Text of a list of equal-length rows of finite [float, float] pairs, else None.
+
+    The checks run at C speed and each row is written by one %-template;
+    "%.17g" % x equals format(x, ".17g"), so the bytes match the recursive
+    walk. Exact float type is required: int, bool and numpy scalars, like
+    non-finite values and anything else, take the walk instead.
+    """
+    if type(doc) is not list or not doc:
+        return None
+    first = doc[0]
+    if type(first) is not list or not first or type(first[0]) is not list:
+        return None
+    if _types(doc) != {list} or set(map(len, doc)) != {len(first)}:
+        return None
+    pairs = list(chain.from_iterable(doc))
+    if _types(pairs) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    values = tuple(chain.from_iterable(pairs))
+    if _types(values) != {float} or not all(map(math.isfinite, values)):
+        return None
+    template = _row_template(len(first))
+    step = 2 * len(first)
+    return "[" + ",".join(
+        template % values[i : i + step] for i in range(0, len(values), step)
+    ) + "]"
 
 
 def _expect_dict(obj, keys: tuple[str, ...], where: str) -> dict:
@@ -77,18 +119,39 @@ def _complex_from(obj, where: str) -> complex:
     return complex(_expect_number(obj[0], where), _expect_number(obj[1], where))
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _complex_array_from(data, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Complex array of nested [re, im] lists with this shape, or None.
+
+    ``data`` must already hold ``shape[0]`` items. The nesting is checked and flattened one level at a time at C speed,
+    and one np.array call converts the flat scalars. numpy alone would
+    accept what the schema refuses (true as 1.0, "1.5" as 1.5, null as NaN),
+    so scalar types and finiteness are checked too. None sends the caller
+    to its per-entry walk, which reports the first error.
+    """
+    level = data
+    for size in (*shape[1:], 2):
+        if _types(level) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not _types(level) <= {int, float}:
+        return None
+    try:
+        arr = np.array(level, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(complex).reshape(shape)
+
+
+def _pairs(m: np.ndarray, shape: tuple[int, ...]) -> list:
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*shape, 2).tolist()
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[complex_to_json(z) for z in row] for row in m],
-    }
+    rows, cols = int(m.shape[0]), int(m.shape[1])
+    return {"rows": rows, "cols": cols, "data": _pairs(m, (rows, cols))}
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -98,6 +161,9 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(f"{where}.data: expected {rows} rows")
+    fast = _complex_array_from(data, (rows, cols))
+    if fast is not None:
+        return fast
     out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
@@ -108,12 +174,16 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return _pairs(v, v.shape)
 
 
 def vector_from_json(obj, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nonempty list")
+    fast = _complex_array_from(obj, (len(obj),))
+    if fast is not None:
+        return fast
     return np.array([_complex_from(entry, f"{where}[{i}]") for i, entry in enumerate(obj)])
 
 
@@ -233,7 +303,7 @@ def algebra_from_json(obj, where: str = "algebra") -> FactorAlgebra:
             raise SchemaError(f"{where}.factors[{i}].weight: must be positive")
         factors.append((d, q))
     total = sum(q for _, q in factors)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise SchemaError(f"{where}.factors: weights sum to {total!r}, expected 1")
     return FactorAlgebra(tuple(factors))
 

@@ -117,10 +117,23 @@ def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
+    return spectral_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Count of |values| above ``rel_rank_tol`` times the largest |value|.
+
+    On singular values this is ``rank_tol``; on the eigenvalues of a
+    Hermitian matrix, whose moduli are its singular values, it gives the
+    same rank without a second decomposition.
+    """
+    a = np.abs(np.asarray(values))
+    if a.size == 0:
         return 0
-    return int(np.sum(s > tol.rel_rank_tol * s[0]))
+    top = a.max()
+    if top <= 0.0:
+        return 0
+    return int(np.sum(a > tol.rel_rank_tol * top))
 
 
 def kernel_basis(l: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:

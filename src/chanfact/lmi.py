@@ -26,7 +26,7 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frob, kron, psd_factor, rank_tol
+from .linalg import DEFAULT_TOL, Tolerance, frob, kron, psd_factor, rank_tol, spectral_rank
 
 
 @dataclass
@@ -93,7 +93,7 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     w = np.linalg.eigvalsh(value)
     psd = bool(w[0] >= -tol.abs_tol * max(1.0, frob(value)))
     traces = tuple(float(np.trace(ai).real) for ai in point.a)
-    return LmiMembership(psd, rank_tol(value, tol), traces)
+    return LmiMembership(psd, spectral_rank(w, tol), traces)
 
 
 def extract_blocks(

@@ -1,10 +1,14 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and loop references shared by the test modules."""
+
+import json
+import math
 
 import numpy as np
 
 from chanfact import (
     DEFAULT_TOL,
     KrausChannel,
+    SchemaError,
     apply_complement,
     complement_data,
     frob,
@@ -130,3 +134,85 @@ def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
         h = q[:half, j].reshape(p, p) + 1j * q[half:, j].reshape(p, p)
         basis.append((h + h.conj().T) / 2.0)
     return basis
+
+
+def reference_dumps(doc):
+    """Recursive writer, one ``format(x, ".17g")`` per float.
+
+    The reference for the row templates in ``jsonio.dumps``.
+    """
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    if isinstance(doc, (int, np.integer)):
+        return str(int(doc))
+    if isinstance(doc, (float, np.floating)):
+        value = float(doc)
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize non-finite numbers")
+        return format(value, ".17g")
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    if isinstance(doc, (list, tuple)):
+        return "[" + ",".join(reference_dumps(item) for item in doc) + "]"
+    if isinstance(doc, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{reference_dumps(v)}" for k, v in doc.items()) + "}"
+    raise TypeError(f"cannot serialize {type(doc).__name__}")
+
+
+def reference_matrix_to_json(m):
+    """Matrix document built one complex entry at a time."""
+    m = np.asarray(m, dtype=complex)
+    return {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "data": [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in m],
+    }
+
+
+def _reference_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: must be finite")
+    return value
+
+
+def reference_complex_from_json(obj, where):
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise SchemaError(f"{where}: complex scalars are [re, im] pairs")
+    return complex(_reference_number(obj[0], where), _reference_number(obj[1], where))
+
+
+def reference_matrix_from_json(obj, where="matrix"):
+    """Per-entry schema walk: the reference for ``jsonio.matrix_from_json``'s
+    single ``np.array`` parse, with the same errors in the same order."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    missing = [k for k in ("rows", "cols", "data") if k not in obj]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    dims = []
+    for key in ("rows", "cols"):
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{where}.{key}: expected an integer")
+        if value < 1:
+            raise SchemaError(f"{where}.{key}: must be at least 1")
+        dims.append(value)
+    rows, cols = dims
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != rows:
+        raise SchemaError(f"{where}.data: expected {rows} rows")
+    out = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"{where}.data[{i}]: expected {cols} entries")
+        for j, entry in enumerate(row):
+            out[i, j] = reference_complex_from_json(entry, f"{where}.data[{i}][{j}]")
+    return out

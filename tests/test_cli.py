@@ -18,6 +18,7 @@ from chanfact import (
     schur_channel_from_gram,
 )
 from chanfact.cli import main
+from helpers import reference_dumps
 
 
 def write(path, doc):
@@ -302,6 +303,76 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "check", "-i", ch, "--tol", "-3")
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_over_deep_nesting_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for command in ("check", "verify", "lmi-check"):
+        code, doc, err = run(capsys, command, "-i", str(deep), "-i", str(deep))
+        assert code == 2 and doc is None
+        assert err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == "SchemaError" and "nested too deeply" in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["apply"], ["apply", "--adjoint"], ["complement"], ["complement", "--adjoint"]],
+)
+def test_matrix_that_does_not_fit_the_channel_exits_2(tmp_path, capsys, command):
+    ch = write(tmp_path / "deph.json", dephasing_doc())
+    x = write(tmp_path / "x.json", jsonio.matrix_to_json(np.eye(3)))
+    code, doc, err = run(capsys, *command, "-i", ch, "-i", x)
+    assert code == 2 and doc is None
+    report = json.loads(err)
+    assert report["error"] == "SchemaError"
+    assert report["detail"].startswith("matrix: expected shape (2, 2)")
+
+
+def test_cli_documents_match_reference_writer(tmp_path, capsys, monkeypatch):
+    written = []
+    depth = [0]
+    dumps = jsonio.dumps
+
+    def recording_dumps(doc):
+        depth[0] += 1
+        try:
+            text = dumps(doc)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:  # the whole document, not the walk's recursive calls
+            written.append((doc, text))
+        return text
+
+    hm, k, system, point = hm_setup()
+    cert = certificate_from_point(k, system, point)
+    ch = write(tmp_path / "hm.json", jsonio.channel_to_json(k))
+    ct = write(tmp_path / "cert.json", jsonio.certificate_to_json(cert))
+    lmi = write(tmp_path / "lmi.json", jsonio.lmi_to_json(system))
+    pt = write(tmp_path / "pt.json", jsonio.point_to_json(point))
+    corr = write(tmp_path / "c.json", jsonio.correlation_to_json(hm.c.matrix))
+    choi = write(tmp_path / "choi.json", jsonio.choi_to_json(choi_from_kraus(k)))
+    x6 = write(tmp_path / "x6.json", jsonio.matrix_to_json(np.arange(36.0).reshape(6, 6) - 17.5))
+    x3 = write(tmp_path / "x3.json", jsonio.matrix_to_json(np.eye(3) * -0.0))
+    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
+    runs = [
+        ["choi", "-i", ch], ["kraus", "-i", choi], ["check", "-i", ch],
+        ["apply", "-i", ch, "-i", x6], ["apply", "--adjoint", "-i", ch, "-i", x6],
+        ["complement", "-i", ch, "-i", x6], ["complement", "--adjoint", "-i", ch, "-i", x3],
+        ["dilate", "-i", ch], ["kernel-basis", "-i", ch], ["schur", "-i", corr],
+        ["gram", "-i", corr], ["lmi-build", "-i", ch], ["lmi-check", "-i", lmi, "-i", pt],
+        ["extract", "-i", lmi, "-i", pt], ["verify", "-i", ch, "-i", ct],
+        ["combine", "--t", "0.25", "-i", ch, "-i", ct, "-i", ch, "-i", ct],
+        ["decompose", "-i", ch, "-i", ct], ["extremality", "-i", ch, "-i", pt],
+        ["example", "hm"], ["example", "hm", "--verify"], ["check", "-i", x3],
+    ]
+    for args in runs:
+        main(args + ["--json"])
+    capsys.readouterr()
+    assert len(written) == len(runs)
+    for doc, text in written:
+        assert text == reference_dumps(doc)
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):

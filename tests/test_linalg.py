@@ -18,6 +18,7 @@ from chanfact import (
     unvec,
     vec,
 )
+from chanfact.linalg import spectral_rank
 from helpers import complex_gaussian, random_hermitian, random_isometry, random_psd
 
 
@@ -85,6 +86,19 @@ def test_rank_tol_counts_singular_values():
     m = a @ a.conj().T
     assert rank_tol(m) == 3
     assert rank_tol(np.zeros((4, 4))) == 0
+
+
+def test_spectral_rank_of_eigenvalues_equals_rank_tol():
+    rng = np.random.default_rng(6)
+    for n in (1, 4, 9, 16):
+        for r in range(n + 1):
+            b = complex_gaussian(rng, (n, r))
+            signs = rng.choice([-1.0, 1.0], r)
+            for h in (b @ b.conj().T, (b * signs) @ b.conj().T, 1e-3 * (b * signs) @ b.conj().T):
+                w = np.linalg.eigvalsh(h)
+                assert spectral_rank(w) == rank_tol(h) == r
+    assert spectral_rank(np.zeros(3)) == 0
+    assert spectral_rank(np.array([])) == 0
 
 
 def test_kernel_basis_spans_null_space():

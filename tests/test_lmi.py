@@ -22,6 +22,7 @@ from chanfact import (
     lmi_eval,
     lmi_membership,
     point_from_blocks,
+    rank_tol,
     schur_channel_from_gram,
 )
 from helpers import random_hermitian, random_tp_channel
@@ -110,6 +111,22 @@ def test_hm_membership_and_blocks():
             e[i, j] = 1.0
             rebuilt += kron(e, blocks[i].conj().T @ blocks[j])
     assert frob(rebuilt - value) < 1e-9
+
+
+def test_membership_rank_equals_rank_tol_of_pencil_value():
+    rng = np.random.default_rng(57)
+    hm = hm_example()
+    system = LmiSystem(3, hm.z)
+    a1, a2, a3 = hm_derived_point()
+    points = [LmiPoint(2, (a1, a2, a3))]
+    for scale in (0.5, 1.0, 5.0):
+        points.append(LmiPoint(2, tuple(scale * a for a in (a1, a2, a3))))
+    for _ in range(5):
+        points.append(LmiPoint(3, tuple(random_hermitian(rng, 3) for _ in range(3))))
+    for point in points:
+        mem = lmi_membership(system, point)
+        assert mem.rank == rank_tol(lmi_eval(system, point))
+    assert lmi_membership(system, points[0]).rank == 2
 
 
 def test_point_from_blocks_roundtrip():
