@@ -103,6 +103,11 @@ def _need_square(x: np.ndarray, size: int, what: str) -> None:
         raise SchemaError(f"matrix: expected shape {(size, size)} for {what}, got {x.shape}")
 
 
+def _need_coefficients(point: LmiPoint, d: int, where: str) -> None:
+    if len(point.a) != d:
+        raise SchemaError(f"{where}: {len(point.a)} coefficient(s), the system needs {d}")
+
+
 def _cmd_choi(args, docs, tol):
     _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
@@ -197,6 +202,7 @@ def _cmd_lmi_check(args, docs, tol):
     _need(docs, 2, "lmi system, point")
     s = jsonio.lmi_from_json(docs[0], tol=tol)
     point = jsonio.point_from_json(docs[1], tol=tol)
+    _need_coefficients(point, s.d, "point")
     mem = lmi_membership(s, point, tol)
     doc = {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)}
     return doc, f"lmi-check: psd={mem.psd}, rank={mem.rank}", 0 if mem.psd else 1
@@ -206,6 +212,7 @@ def _cmd_extract(args, docs, tol):
     _need(docs, 2, "lmi system, point")
     s = jsonio.lmi_from_json(docs[0], tol=tol)
     point = jsonio.point_from_json(docs[1], tol=tol)
+    _need_coefficients(point, s.d, "point")
     blocks = extract_blocks(s, point, tol)
     doc = {"k": point.k, "blocks": [jsonio.matrix_to_json(b) for b in blocks]}
     return doc, f"extract: {len(blocks)} block(s) of size {point.k}", 0
@@ -264,6 +271,8 @@ def _cmd_extremality(args, docs, tol):
     k = jsonio.channel_from_json(docs[0])
     points = [jsonio.point_from_json(obj, f"point{i}", tol) for i, obj in enumerate(docs[1:])]
     s = build_lmi(k, tol)
+    for i, point in enumerate(points):
+        _need_coefficients(point, s.d, f"point{i}")
     extreme = s.d == 0
     report = extremality_check(k, s, points, tol)
     doc = {

@@ -97,13 +97,7 @@ def apply_complement(k: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (k.dim_in, k.dim_in):
         raise DimensionMismatch(f"input must be {k.dim_in}x{k.dim_in}, got {x.shape}")
-    p = k.num_kraus
-    kx = [op @ x for op in k.operators]
-    out = np.empty((p, p), dtype=complex)
-    for a in range(p):
-        for b in range(p):
-            out[a, b] = np.vdot(k.operators[b], kx[a])
-    return out
+    return np.einsum("bacd,dc->ab", _kraus_products(k), x)
 
 
 def apply_complement_adjoint(k: KrausChannel, y: np.ndarray) -> np.ndarray:

@@ -20,14 +20,8 @@ from .channel import (
     convex_combine_channels,
 )
 from .complement import _kraus_products
-from .errors import (
-    CertificateInvalid,
-    DimensionMismatch,
-    NotPSD,
-    RankTooHigh,
-    TraceNotZero,
-)
-from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor
+from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
+from .linalg import DEFAULT_TOL, Tolerance, _factor_from_eigh, eigh, frob
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -128,6 +122,11 @@ def verify_certificate(
     The three residuals are reported unconditionally; ``passed`` is true when
     all of them are at most ``abs_tol``.
     """
+    return _verify(k, cert, tol)[0]
+
+
+def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> tuple:
+    """The report, and per factor the p x p traces Tr(V_i* V_j) of the same Gram tensor."""
     n = k.dim_in
     if k.dim_out != n:
         raise DimensionMismatch("factorization certificates require square channels")
@@ -142,11 +141,13 @@ def verify_certificate(
     kraus_gram = kraus_gram.reshape(p * p, n * n)
 
     inner = np.zeros((p, p), dtype=complex)
+    traces = []
     compl = 0.0
     unit_sq = 0.0
     for (d, q), v in zip(cert.algebra.factors, _block_stacks(cert)):
         w = _gram_tensor(v)
-        inner += (q / d) * np.trace(w, axis1=2, axis2=3)
+        traces.append(np.trace(w, axis1=2, axis2=3))
+        inner += (q / d) * traces[-1]
         r = (kraus_gram.T @ w.reshape(p * p, d * d)).reshape(n, n, d, d)
         r -= defect[:, :, None, None] * np.eye(d)
         compl = max(compl, float(np.linalg.norm(r.reshape(n * n, d * d), axis=1).max()))
@@ -156,7 +157,7 @@ def verify_certificate(
     unit = float(np.sqrt(unit_sq))
 
     passed = max(orth, compl, unit) <= tol.abs_tol
-    return CertificateReport(orth, compl, unit, bool(passed))
+    return CertificateReport(orth, compl, unit, bool(passed)), traces
 
 
 def certificate_from_point(
@@ -168,15 +169,10 @@ def certificate_from_point(
     the pencil's diagonal blocks have trace k when the coefficient traces
     vanish; they are used as-is.
     """
-    mem = lmi_membership(s, point, tol)
-    if not mem.psd:
-        raise NotPSD("point is not in the solution set")
-    if mem.rank > point.k:
-        raise RankTooHigh(f"solution has rank {mem.rank} > {point.k}")
-    trace_norm = max((abs(t) for t in mem.traces), default=0.0)
+    blocks = extract_blocks(s, point, tol)
+    trace_norm = max((abs(float(np.trace(ai).real)) for ai in point.a), default=0.0)
     if trace_norm > tol.abs_tol:
         raise TraceNotZero(f"coefficient traces reach {trace_norm:.3e}")
-    blocks = extract_blocks(s, point, tol)
     algebra = FactorAlgebra(((point.k, 1.0),))
     return FactorizationCertificate(algebra, tuple((blk,) for blk in blocks))
 
@@ -236,27 +232,23 @@ def decompose_by_factors(
     transferred through the pseudoinverse of Q_k. The weighted Gram matrices
     sum to I_p and the weighted Choi matrices sum to the input's.
     """
-    report = verify_certificate(k, cert, tol)
+    report, traces = _verify(k, cert, tol)
     if not report.passed:
         raise CertificateInvalid("cannot decompose along a failing certificate")
-    p = k.num_kraus
+    kraus = np.array(k.operators)
     components = []
     for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, _block_stacks(cert))):
-        gram = np.trace(_gram_tensor(blocks), axis1=2, axis2=3) / d
-        qmat = psd_factor(gram, tol)
-        if qmat.shape[0] == 0:
+        gram = traces[f] / d
+        # a Gram matrix, so PSD; Q_k = sqrt(lambda) q* has pseudoinverse q / sqrt(lambda)
+        w, vecs = eigh(gram, tol)
+        qmat = _factor_from_eigh(w, vecs, tol)
+        r = qmat.shape[0]
+        if r == 0:
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
-        ops = tuple(
-            sum(qmat[m, j] * k.operators[j] for j in range(p))
-            for m in range(qmat.shape[0])
-        )
-        qpinv = np.linalg.pinv(qmat)
-        new_elements = tuple(
-            (sum(qpinv[j, m] * blocks[j] for j in range(p)),)
-            for m in range(qmat.shape[0])
-        )
-        sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), new_elements)
-        components.append(FactorComponent(q, KrausChannel(ops), sub_cert, gram))
+        elements = tuple((e,) for e in np.tensordot(vecs[:, :r] / np.sqrt(w[:r]), blocks, (0, 0)))
+        sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
+        channel = KrausChannel(tuple(np.tensordot(qmat, kraus, 1)))
+        components.append(FactorComponent(q, channel, sub_cert, gram))
     return components
 
 

@@ -247,6 +247,26 @@ def gram_to_json(w: GramVectors) -> dict:
     }
 
 
+def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> tuple:
+    """A list of size x size matrices, Hermitian within ``tol``. One stacked norm
+    passes a valid list; only a failing one is walked in order, so the error
+    names the first offender."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: expected a list")
+    mats = tuple(matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items))
+    if mats and all(m.shape == (size, size) for m in mats):
+        stack = np.stack(mats)
+        dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+        if np.all(dev <= tol.abs_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
+            return mats
+    for i, m in enumerate(mats):
+        if m.shape != (size, size):
+            raise SchemaError(f"{where}[{i}]: expected shape {(size, size)}")
+        if np.linalg.norm(m - m.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(m)):
+            raise SchemaError(f"{where}[{i}]: must be Hermitian")
+    return mats
+
+
 def lmi_to_json(s: LmiSystem) -> dict:
     return {"p": s.p, "z": [matrix_to_json(zi) for zi in s.z]}
 
@@ -254,16 +274,7 @@ def lmi_to_json(s: LmiSystem) -> dict:
 def lmi_from_json(obj, where: str = "lmi", tol: Tolerance = DEFAULT_TOL) -> LmiSystem:
     obj = _expect_dict(obj, ("p", "z"), where)
     p = _expect_int(obj["p"], f"{where}.p", minimum=1)
-    zs = obj["z"]
-    if not isinstance(zs, list):
-        raise SchemaError(f"{where}.z: expected a list")
-    mats = [matrix_from_json(item, f"{where}.z[{i}]") for i, item in enumerate(zs)]
-    for i, zi in enumerate(mats):
-        if zi.shape != (p, p):
-            raise SchemaError(f"{where}.z[{i}]: expected shape {(p, p)}")
-        if np.linalg.norm(zi - zi.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(zi)):
-            raise SchemaError(f"{where}.z[{i}]: must be Hermitian")
-    return LmiSystem(p, tuple(mats))
+    return LmiSystem(p, _hermitian_list(obj["z"], p, f"{where}.z", tol))
 
 
 def point_to_json(point: LmiPoint) -> dict:
@@ -273,16 +284,7 @@ def point_to_json(point: LmiPoint) -> dict:
 def point_from_json(obj, where: str = "point", tol: Tolerance = DEFAULT_TOL) -> LmiPoint:
     obj = _expect_dict(obj, ("k", "a"), where)
     k = _expect_int(obj["k"], f"{where}.k", minimum=1)
-    items = obj["a"]
-    if not isinstance(items, list):
-        raise SchemaError(f"{where}.a: expected a list")
-    mats = [matrix_from_json(item, f"{where}.a[{i}]") for i, item in enumerate(items)]
-    for i, ai in enumerate(mats):
-        if ai.shape != (k, k):
-            raise SchemaError(f"{where}.a[{i}]: expected shape {(k, k)}")
-        if np.linalg.norm(ai - ai.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(ai)):
-            raise SchemaError(f"{where}.a[{i}]: must be Hermitian")
-    return LmiPoint(k, tuple(mats))
+    return LmiPoint(k, _hermitian_list(obj["a"], k, f"{where}.a", tol))
 
 
 def algebra_to_json(algebra: FactorAlgebra) -> dict:

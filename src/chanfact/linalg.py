@@ -83,20 +83,20 @@ def eigh(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     order = np.argsort(-w, kind="stable")
     w = w[order]
     q = np.array(q[:, order], dtype=complex)
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol.rel_rank_tol)
-        if idx.size:
-            phase = col[idx[0]]
-            q[:, j] = col * (phase.conjugate() / abs(phase))
+    mask = np.abs(q) > tol.rel_rank_tol
+    cols = np.flatnonzero(mask.any(axis=0))
+    if cols.size:
+        phase = q[np.argmax(mask[:, cols], axis=0), cols]
+        # hypot, not np.abs: the vectorised complex abs can differ from it in the last bit
+        q[:, cols] *= phase.conj() / np.hypot(phase.real, phase.imag)
     return w, q
 
 
 def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Factor a PSD matrix as ``p = b* @ b`` with ``b`` of shape (rank, n).
 
-    Eigenvalues at or below ``rel_rank_tol * max_eigenvalue`` are treated as
-    zero; tiny negative eigenvalues within the PSD tolerance are clamped.
+    Eigenvalues at or below ``rel_rank_tol * max_eigenvalue``, among them
+    tiny negative ones within the PSD tolerance, are treated as zero.
 
     Raises NotPSD when the smallest eigenvalue is below
     ``-abs_tol * max(1, ||p||_F)``.
@@ -105,11 +105,15 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, frob(np.asarray(p, dtype=complex)))
     if w.size and w[-1] < -tol.abs_tol * scale:
         raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below -{tol.abs_tol * scale:.3e}")
+    return _factor_from_eigh(w, q, tol)
+
+
+def _factor_from_eigh(w: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`psd_factor`'s rows sqrt(lambda) q* from :func:`eigh` output, no PSD check."""
     wmax = float(w[0]) if w.size else 0.0
     threshold = tol.rel_rank_tol * max(wmax, 0.0)
     r = int(np.sum(w > threshold))
-    lam = np.clip(w[:r], 0.0, None)
-    return np.sqrt(lam)[:, None] * q[:, :r].conj().T
+    return np.sqrt(w[:r])[:, None] * q[:, :r].conj().T
 
 
 def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -26,7 +26,7 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frob, kron, psd_factor, rank_tol, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, _factor_from_eigh, eigh, frob, rank_tol, spectral_rank
 
 
 @dataclass
@@ -81,9 +81,13 @@ def lmi_eval(s: LmiSystem, point: LmiPoint) -> np.ndarray:
     """Evaluate the pencil I (x) I + sum_i Z_i (x) A_i at a point."""
     if len(point.a) != s.d:
         raise DimensionMismatch(f"point has {len(point.a)} coefficients, system needs {s.d}")
-    out = np.eye(s.p * point.k, dtype=complex)
-    for zi, ai in zip(s.z, point.a):
-        out += kron(zi, ai)
+    p, k = s.p, point.k
+    if not s.d:
+        return np.eye(p * k, dtype=complex)
+    # (p^2 x k^2) entries Z_ab A_xy summed over i, reordered to rows (a, x), columns (b, y)
+    terms = np.array(s.z).reshape(s.d, p * p).T @ np.array(point.a).reshape(s.d, k * k)
+    out = terms.reshape(p, p, k, k).transpose(0, 2, 1, 3).reshape(p * k, p * k)
+    out += np.eye(p * k)
     return out
 
 
@@ -103,15 +107,18 @@ def extract_blocks(
 
     The blocks reproduce the pencil value through sum_ij E_ij (x) V_i* V_j.
     Raises NotPSD for infeasible points and RankTooHigh when the pencil value
-    has rank above k.
+    has rank above k. The PSD flag, the rank and the factor all come from one
+    eigendecomposition of the pencil value.
     """
-    mem = lmi_membership(s, point, tol)
-    if not mem.psd:
+    value = lmi_eval(s, point)
+    w, q = eigh(value, tol)
+    if w[-1] < -tol.abs_tol * max(1.0, frob(value)):
         raise NotPSD("pencil value is not positive semidefinite")
     k = point.k
-    if mem.rank > k:
-        raise RankTooHigh(f"pencil value has rank {mem.rank} > {k}")
-    b = psd_factor(lmi_eval(s, point), tol)
+    rank = spectral_rank(w, tol)
+    if rank > k:
+        raise RankTooHigh(f"pencil value has rank {rank} > {k}")
+    b = _factor_from_eigh(w, q, tol)
     v = np.zeros((k, s.p * k), dtype=complex)
     v[: b.shape[0], :] = b
     return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
@@ -167,21 +174,13 @@ def face_channel(
     NotInSpectrahedron when the scalar pencil value is not PSD.
     """
     s = system if system is not None else build_lmi(k, tol)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != s.d:
-        raise DimensionMismatch(f"expected {s.d} coordinates, got {x.size}")
-    value = np.eye(s.p, dtype=complex)
-    for xi, zi in zip(x, s.z):
-        value += xi * zi
-    w = np.linalg.eigvalsh(value)
-    if w[0] < -tol.abs_tol * max(1.0, frob(value)):
-        raise NotInSpectrahedron(f"scalar pencil has eigenvalue {w[0]:.3e}")
-    q = psd_factor(value, tol)
-    ops = []
-    for m in range(q.shape[0]):
-        op = sum(q[m, j] * k.operators[j] for j in range(s.p))
-        if frob(op) > tol.abs_tol:
-            ops.append(op)
+    x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
+    value = lmi_eval(s, LmiPoint(1, tuple(x)))
+    w, vecs = eigh(value, tol)
+    if w[-1] < -tol.abs_tol * max(1.0, frob(value)):
+        raise NotInSpectrahedron(f"scalar pencil has eigenvalue {w[-1]:.3e}")
+    q = _factor_from_eigh(w, vecs, tol)
+    ops = [op for op in np.einsum("mj,jab->mab", q, np.array(k.operators)) if frob(op) > tol.abs_tol]
     if not ops:
         raise NotInSpectrahedron("face selection produced an empty Kraus family")
     return KrausChannel(tuple(ops))

@@ -7,9 +7,10 @@ import numpy as np
 
 from chanfact import (
     DEFAULT_TOL,
+    DimensionMismatch,
     KrausChannel,
+    NotHermitian,
     SchemaError,
-    apply_complement,
     complement_data,
     frob,
     kernel_basis,
@@ -57,6 +58,47 @@ def random_psd(rng, n, rank=None):
     return b @ b.conj().T
 
 
+def reference_apply_complement(k, x):
+    """Loop evaluation of the complement, one ``vdot`` per (a, b) entry Tr(K_b* K_a X)."""
+    p = k.num_kraus
+    kx = [op @ x for op in k.operators]
+    out = np.empty((p, p), dtype=complex)
+    for a in range(p):
+        for b in range(p):
+            out[a, b] = np.vdot(k.operators[b], kx[a])
+    return out
+
+
+def reference_lmi_eval(s, point):
+    """Pencil value I (x) I + sum_i Z_i (x) A_i as d ``kron`` calls, the
+    reference for the single product in ``lmi_eval``."""
+    if len(point.a) != s.d:
+        raise DimensionMismatch(f"point has {len(point.a)} coefficients, system needs {s.d}")
+    out = np.eye(s.p * point.k, dtype=complex)
+    for zi, ai in zip(s.z, point.a):
+        out += kron(zi, ai)
+    return out
+
+
+def reference_eigh(h, tol=DEFAULT_TOL):
+    """``linalg.eigh`` with its phase fix as a loop over the columns."""
+    h = np.asarray(h, dtype=complex)
+    scale = max(1.0, frob(h))
+    if frob(h - h.conj().T) > tol.abs_tol * scale:
+        raise NotHermitian("matrix is not Hermitian")
+    w, q = np.linalg.eigh(h)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    q = np.array(q[:, order], dtype=complex)
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        idx = np.flatnonzero(np.abs(col) > tol.rel_rank_tol)
+        if idx.size:
+            phase = col[idx[0]]
+            q[:, j] = col * (phase.conjugate() / abs(phase))
+    return w, q
+
+
 def reference_residuals(k, cert):
     """Loop evaluation of the three certificate residuals, one complement call per (a, b).
 
@@ -77,7 +119,7 @@ def reference_residuals(k, cert):
         for b in range(n):
             e = np.zeros((n, n), dtype=complex)
             e[a, b] = 1.0
-            x = apply_complement(k, e)
+            x = reference_apply_complement(k, e)
             for f, (d, _) in enumerate(algebra.factors):
                 r = -np.trace(x) * np.eye(d, dtype=complex)
                 for i in range(p):

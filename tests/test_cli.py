@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from chanfact import (
+    FactorAlgebra,
+    FactorizationCertificate,
     KrausChannel,
     LmiPoint,
     LmiSystem,
@@ -328,6 +330,35 @@ def test_matrix_that_does_not_fit_the_channel_exits_2(tmp_path, capsys, command)
     report = json.loads(err)
     assert report["error"] == "SchemaError"
     assert report["detail"].startswith("matrix: expected shape (2, 2)")
+
+
+@pytest.mark.parametrize("command", ["lmi-check", "extract", "extremality"])
+def test_point_that_does_not_fit_the_system_exits_2(tmp_path, capsys, command):
+    hm, k, system, point = hm_setup()
+    first = jsonio.channel_to_json(k) if command == "extremality" else jsonio.lmi_to_json(system)
+    src = write(tmp_path / "src.json", first)
+    short = write(tmp_path / "short.json", jsonio.point_to_json(LmiPoint(1, (np.eye(1),))))
+    inputs = ["-i", src, "-i", short]
+    if command == "extremality":  # the fitting point comes first, the offender is point1
+        inputs[2:2] = ["-i", write(tmp_path / "pt.json", jsonio.point_to_json(point))]
+    code, doc, err = run(capsys, command, *inputs)
+    assert code == 2 and doc is None
+    report = json.loads(err)
+    assert report["error"] == "SchemaError"
+    where = "point1" if command == "extremality" else "point"
+    assert report["detail"] == f"{where}: 1 coefficient(s), the system needs 3"
+
+
+def test_verify_of_non_square_channel_exits_1(tmp_path, capsys):
+    # a well-formed 2 -> 3 channel: certificates need square channels, a
+    # failed precondition of the check rather than a malformed document
+    v = np.eye(3, 2, dtype=complex)
+    ch = write(tmp_path / "iso.json", jsonio.channel_to_json(KrausChannel((v,))))
+    cert = FactorizationCertificate(FactorAlgebra(((1, 1.0),)), ((np.eye(1),),))
+    ct = write(tmp_path / "cert.json", jsonio.certificate_to_json(cert))
+    code, doc, err = run(capsys, "verify", "-i", ch, "-i", ct)
+    assert code == 1 and doc is None
+    assert json.loads(err)["error"] == "DimensionMismatch"
 
 
 def test_cli_documents_match_reference_writer(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from helpers import (
     haar_unitary,
     random_hermitian,
     random_tp_channel,
+    reference_apply_complement,
     reference_selfadjoint_kernel_basis,
 )
 
@@ -57,6 +58,18 @@ def test_complement_entries_are_product_traces():
         for b in range(2):
             expected = np.trace(k.operators[b].conj().T @ k.operators[a] @ x)
             assert abs(out[a, b] - expected) < 1e-12
+
+
+def test_complement_matches_vdot_loop_reference():
+    rng = np.random.default_rng(24)
+    channels = [dephasing(), random_tp_channel(rng, 3, 2), random_tp_channel(rng, 2, 5, m=3),
+                random_tp_channel(rng, 4, 16), schur_channel_from_gram(hm_example().w)]
+    for k in channels:
+        x = complex_gaussian(rng, (k.dim_in, k.dim_in))
+        ref = reference_apply_complement(k, x)
+        out = apply_complement(k, x)
+        assert out.shape == (k.num_kraus, k.num_kraus)
+        assert frob(out - ref) <= 1e-12 * max(1.0, frob(ref))
 
 
 def test_complement_adjoint_duality():

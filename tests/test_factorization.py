@@ -24,6 +24,7 @@ from chanfact import (
     hm_example,
     hm_equation_residuals,
     kron,
+    psd_factor,
     schur_channel_from_gram,
     verify_certificate,
 )
@@ -274,3 +275,28 @@ def test_decompose_grams_match_reference_loop(name):
     components = decompose_by_factors(k, cert)
     for f, comp in enumerate(components):
         assert np.abs(comp.gram - reference_factor_gram(cert, f)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["dilation", "mixture"])
+def test_decompose_transfers_match_pinv_loop(name):
+    k, cert = reference_cases()[name]
+    p = k.num_kraus
+    for f, comp in enumerate(decompose_by_factors(k, cert)):
+        qmat = psd_factor(comp.gram)
+        qpinv = np.linalg.pinv(qmat)
+        blocks = [element[f] for element in cert.elements]
+        assert comp.channel.num_kraus == comp.certificate.num_elements == qmat.shape[0]
+        for m in range(qmat.shape[0]):
+            op = sum(qmat[m, j] * k.operators[j] for j in range(p))
+            element = sum(qpinv[j, m] * blocks[j] for j in range(p))
+            assert frob(comp.channel.operators[m] - op) <= 1e-12 * max(1.0, frob(op))
+            assert frob(comp.certificate.elements[m][0] - element) <= 1e-12 * max(1.0, frob(element))
+
+
+def test_certificate_from_point_checks_in_order():
+    # scalar pencil diag(1 + a, 1 - a) at level 1; every point has trace a != 0
+    system = LmiSystem(2, (np.diag([1.0, -1.0]).astype(complex),))
+    channel = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2.0),) * 2)
+    for a, error in ((2.0, NotPSD), (0.5, RankTooHigh), (1.0, TraceNotZero)):
+        with pytest.raises(error):
+            certificate_from_point(channel, system, LmiPoint(1, (np.array([[a]]),)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chanfact import (
+    DEFAULT_TOL,
     ChoiMatrix,
     FactorAlgebra,
     FactorizationCertificate,
@@ -11,6 +12,7 @@ from chanfact import (
     LmiPoint,
     LmiSystem,
     SchemaError,
+    Tolerance,
     choi_from_kraus,
     hm_example,
 )
@@ -18,6 +20,7 @@ from chanfact import jsonio
 from chanfact.factorization import WEIGHT_SUM_TOL
 from helpers import (
     complex_gaussian,
+    random_hermitian,
     random_tp_channel,
     reference_dumps,
     reference_matrix_from_json,
@@ -118,6 +121,45 @@ def test_lmi_and_point_require_hermitian_entries():
         jsonio.lmi_from_json({"p": 2, "z": [bad]})
     with pytest.raises(SchemaError):
         jsonio.point_from_json({"k": 2, "a": [bad]})
+
+
+def _walk_error(mats, size, where, tol):
+    """The per-matrix walk the stacked check must agree with."""
+    for i, m in enumerate(mats):
+        if m.shape != (size, size):
+            return f"{where}[{i}]: expected shape {(size, size)}"
+        if np.linalg.norm(m - m.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(m)):
+            return f"{where}[{i}]: must be Hermitian"
+    return None
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_tol=1e-6)])
+def test_hermitian_checks_name_the_first_offender(tol):
+    rng = np.random.default_rng(16)
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    kinds = [
+        lambda: random_hermitian(rng, 2),
+        lambda: random_hermitian(rng, 2) + 1e-8 * skew,  # rejected at 1e-9 only
+        lambda: random_hermitian(rng, 2) + 1e-3 * skew,
+        lambda: random_hermitian(rng, 3),
+    ]
+    seen = set()
+    for _ in range(300):
+        mats = [kinds[j]() for j in rng.choice(4, size=int(rng.integers(0, 6)), p=[0.7, 0.1, 0.1, 0.1])]
+        expected = _walk_error(mats, 2, "lmi.z", tol)
+        seen.add(expected is None)
+        docs = [jsonio.matrix_to_json(m) for m in mats]
+        for read, doc, where in (
+            (jsonio.lmi_from_json, {"p": 2, "z": docs}, "lmi.z"),
+            (jsonio.point_from_json, {"k": 2, "a": docs}, "point.a"),
+        ):
+            if expected is None:
+                read(doc, tol=tol)
+                continue
+            with pytest.raises(SchemaError) as info:
+                read(doc, tol=tol)
+            assert str(info.value) == expected.replace("lmi.z", where)
+    assert seen == {True, False}
 
 
 def test_algebra_roundtrip_and_validation():

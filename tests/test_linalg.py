@@ -19,7 +19,13 @@ from chanfact import (
     vec,
 )
 from chanfact.linalg import spectral_rank
-from helpers import complex_gaussian, random_hermitian, random_isometry, random_psd
+from helpers import (
+    complex_gaussian,
+    random_hermitian,
+    random_isometry,
+    random_psd,
+    reference_eigh,
+)
 
 
 def test_tolerance_rejects_bad_values():
@@ -165,3 +171,19 @@ def test_complete_isometry_rejects_bad_input():
         complete_isometry(np.ones((2, 2)))
     with pytest.raises(NotIsometry):
         complete_isometry(np.ones((2, 3)))
+
+
+def test_eigh_is_bitwise_equal_to_phase_loop_reference():
+    rng = np.random.default_rng(71)
+    mats = [random_hermitian(rng, n) for n in (1, 2, 3, 6, 9, 16) for _ in range(20)]
+    mats += [random_psd(rng, 8, rank=3), np.eye(4), np.zeros((3, 3)), np.diag([0.0, 2.0, -1.0])]
+    # eigenvectors whose leading entries are zero or tiny
+    u = np.eye(5, dtype=complex)[:, ::-1] * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+    u[0, 1] = 1e-12
+    mats.append(u @ np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) @ u.conj().T)
+    for tol in (Tolerance(), Tolerance(rel_rank_tol=0.6), Tolerance(rel_rank_tol=1.0)):
+        for h in mats:
+            w, q = eigh(h, tol)
+            w_ref, q_ref = reference_eigh(h, tol)
+            assert np.array_equal(w, w_ref)
+            assert q.dtype == q_ref.dtype and q.tobytes() == q_ref.tobytes()

@@ -7,6 +7,7 @@ from chanfact import (
     LmiPoint,
     LmiSystem,
     NotInSpan,
+    NotHermitian,
     NotInSpectrahedron,
     NotPSD,
     RankTooHigh,
@@ -22,10 +23,11 @@ from chanfact import (
     lmi_eval,
     lmi_membership,
     point_from_blocks,
+    psd_factor,
     rank_tol,
     schur_channel_from_gram,
 )
-from helpers import random_hermitian, random_tp_channel
+from helpers import random_hermitian, random_tp_channel, reference_lmi_eval
 
 
 def scalar_system():
@@ -172,3 +174,63 @@ def test_face_channel_moves_along_kernel():
         face_channel(k, np.array([9.0, 0.0, 0.0]), system=system)
     with pytest.raises(DimensionMismatch):
         face_channel(k, np.zeros(2), system=system)
+
+
+@pytest.mark.parametrize("case", ["hm", "p9", "p16", "d0"])
+def test_lmi_eval_matches_kron_reference(case):
+    if case == "hm":
+        _, system, point = hm_setup()
+        points = [point, LmiPoint(3, tuple(random_hermitian(np.random.default_rng(58), 3)
+                                           for _ in range(3)))]
+    elif case == "d0":
+        system = LmiSystem(3, ())
+        points = [LmiPoint(1, ()), LmiPoint(4, ())]
+    else:
+        n = 3 if case == "p9" else 4
+        rng = np.random.default_rng(59)
+        system = build_lmi(random_tp_channel(rng, n, n * n))
+        assert system.d == n**4 - n**2
+        points = [LmiPoint(k, tuple(random_hermitian(rng, k) for _ in range(system.d)))
+                  for k in (1, 2, 3)]
+    for point in points:
+        value = lmi_eval(system, point)
+        ref = reference_lmi_eval(system, point)
+        assert value.shape == ref.shape and value.dtype == complex
+        assert frob(value - ref) <= 1e-13 * max(1.0, frob(ref))
+    if case == "d0":
+        assert np.array_equal(lmi_eval(system, points[1]), np.eye(12, dtype=complex))
+
+
+def test_extract_blocks_keeps_its_error_types():
+    _, system, point = hm_setup()
+    with pytest.raises(NotPSD):
+        extract_blocks(system, LmiPoint(2, tuple(2.0 * a for a in point.a)))
+    with pytest.raises(RankTooHigh):
+        extract_blocks(system, LmiPoint(2, tuple(0.5 * a for a in point.a)))
+    with pytest.raises(RankTooHigh):
+        extract_blocks(system, LmiPoint(1, tuple(a[:1, :1] for a in point.a)))
+    # the lower triangle of diag(2 + 0.5i, -0.5i) is PSD of rank 1: the
+    # Hermitian check of the factor step still rejects it
+    with pytest.raises(NotHermitian):
+        extract_blocks(scalar_system(), LmiPoint(1, (np.array([[1.0 + 0.5j]]),)))
+
+
+def test_face_channel_keeps_its_error_types():
+    k, system, _ = hm_setup()
+    with pytest.raises(NotInSpectrahedron):
+        face_channel(k, np.array([-9.0, 0.0, 0.0]), system=system)
+    skew = LmiSystem(3, (np.triu(np.ones((3, 3)), 1).astype(complex),))
+    with pytest.raises(NotHermitian):
+        face_channel(k, np.array([0.1]), system=skew)
+
+
+def test_face_channel_matches_loop_transfer():
+    k, system, _ = hm_setup()
+    x = np.array([0.3, -0.2, 0.1])
+    value = np.eye(3) + sum(xi * zi for xi, zi in zip(x, system.z))
+    q = psd_factor(value)
+    expected = [sum(q[m, j] * k.operators[j] for j in range(3)) for m in range(q.shape[0])]
+    faced = face_channel(k, x, system=system)
+    assert faced.num_kraus == len(expected)
+    for got, want in zip(faced.operators, expected):
+        assert frob(got - want) < 1e-13
