@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotPSD,
     NotTracePreserving,
     NotUnitary,
 )
@@ -183,6 +182,17 @@ def channel_from_dilation(
     lexicographic (a, b) order; numerically zero operators are dropped. The
     result is trace preserving by construction.
     """
+    return KrausChannel(tuple(op for _, op in _dilation_blocks(w, n, k, tol)))
+
+
+def _dilation_blocks(
+    w: np.ndarray, n: int, k: int, tol: Tolerance
+) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """The kept ((a, b), K_ab) of a dilation unitary, in lexicographic order.
+
+    K_ab is kept when its norm exceeds ``abs_tol``; when none is, K_00 alone
+    is kept, so the channel and its certificate always share one index list.
+    """
     w = np.asarray(w, dtype=complex)
     if w.shape != (n * k, n * k):
         raise DimensionMismatch(f"dilation unitary must be {n * k}x{n * k}, got {w.shape}")
@@ -191,15 +201,8 @@ def channel_from_dilation(
         raise NotUnitary("dilation matrix is not unitary within tolerance")
     blocks = w.reshape(n, k, n, k)
     root = 1.0 / np.sqrt(k)
-    ops = []
-    for a in range(k):
-        for b in range(k):
-            op = root * blocks[:, a, :, b]
-            if frob(op) > tol.abs_tol:
-                ops.append(op)
-    if not ops:
-        ops = [root * blocks[:, 0, :, 0]]
-    return KrausChannel(tuple(ops))
+    kept = [((a, b), root * blocks[:, a, :, b]) for a in range(k) for b in range(k)]
+    return [(ab, op) for ab, op in kept if frob(op) > tol.abs_tol] or kept[:1]
 
 
 def convex_combine_channels(

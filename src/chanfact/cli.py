@@ -36,7 +36,7 @@ from .factorization import (
     hm_equation_residuals,
     verify_certificate,
 )
-from .linalg import Tolerance, frob
+from .linalg import DEFAULT_TOL, Tolerance, frob
 from .lmi import LmiPoint, LmiSystem, build_lmi, extract_blocks, lmi_membership
 from .schur import (
     gram_from_correlation,
@@ -53,8 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-i", "--input", action="append", default=[], metavar="FILE",
                         help="input JSON file (repeat for multiple inputs)")
     common.add_argument("-o", "--output", metavar="FILE", help="write JSON output to FILE")
-    common.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
-    common.add_argument("--rank-tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol,
+                        help="absolute tolerance")
+    common.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rel_rank_tol,
                         help="relative rank tolerance")
     common.add_argument("--json", action="store_true",
                         help="suppress the human-readable summary on stderr")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (
     KrausChannel,
-    channel_from_dilation,
+    _dilation_blocks,
     convex_combine_channels,
 )
 from .complement import _kraus_products
@@ -322,18 +322,14 @@ def dilation_certificate(
 
     Expanding w = sum_ab K_ab (x) sqrt(k) E_ab over the tau_k-orthonormal
     matrix units gives Kraus operators K_ab and certificate elements
-    sqrt(k) E_ab directly; indices whose Kraus operator is numerically zero
-    are dropped from both lists.
+    sqrt(k) E_ab directly; both lists keep the indices that
+    :func:`channel_from_dilation` keeps.
     """
-    channel = channel_from_dilation(w, n, k, tol)
-    blocks = np.asarray(w, dtype=complex).reshape(n, k, n, k)
-    root = 1.0 / np.sqrt(k)
+    kept = _dilation_blocks(w, n, k, tol)
     elements = []
-    for a in range(k):
-        for b in range(k):
-            if frob(root * blocks[:, a, :, b]) > tol.abs_tol:
-                unit = np.zeros((k, k), dtype=complex)
-                unit[a, b] = np.sqrt(k)
-                elements.append((unit,))
-    cert = FactorizationCertificate(FactorAlgebra(((k, 1.0),)), tuple(elements))
-    return channel, cert
+    for (a, b), _ in kept:
+        unit = np.zeros((k, k), dtype=complex)
+        unit[a, b] = np.sqrt(k)
+        elements.append((unit,))
+    channel = KrausChannel(tuple(op for _, op in kept))
+    return channel, FactorizationCertificate(FactorAlgebra(((k, 1.0),)), tuple(elements))

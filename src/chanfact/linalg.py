@@ -102,10 +102,15 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ``-abs_tol * max(1, ||p||_F)``.
     """
     w, q = eigh(p, tol)
-    scale = max(1.0, frob(np.asarray(p, dtype=complex)))
-    if w.size and w[-1] < -tol.abs_tol * scale:
-        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below -{tol.abs_tol * scale:.3e}")
+    floor = _psd_floor(p, tol)
+    if w.size and w[-1] < floor:
+        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below {floor:.3e}")
     return _factor_from_eigh(w, q, tol)
+
+
+def _psd_floor(m: np.ndarray, tol: Tolerance) -> float:
+    """Smallest eigenvalue a PSD matrix may show: ``-abs_tol * max(1, ||m||_F)``."""
+    return -tol.abs_tol * max(1.0, frob(m))
 
 
 def _factor_from_eigh(w: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -138,22 +143,6 @@ def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     if top <= 0.0:
         return 0
     return int(np.sum(a > tol.rel_rank_tol * top))
-
-
-def kernel_basis(l: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the null space of ``l``.
-
-    Right singular vectors whose singular value is at or below
-    ``rel_rank_tol`` times the largest singular value span the kernel. A zero
-    matrix yields the full standard-like orthonormal basis.
-    """
-    l = np.asarray(l, dtype=complex)
-    if l.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {l.shape}")
-    _, s, vh = np.linalg.svd(l, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    r = int(np.sum(s > tol.rel_rank_tol * smax)) if smax > 0.0 else 0
-    return [vh[j].conj() for j in range(r, l.shape[1])]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

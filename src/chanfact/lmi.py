@@ -26,7 +26,8 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _factor_from_eigh, eigh, frob, rank_tol, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, eigh, frob, rank_tol, spectral_rank
+from .linalg import _factor_from_eigh, _psd_floor
 
 
 @dataclass
@@ -95,7 +96,7 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     """PSD flag, numerical rank, and coefficient traces of the pencil value."""
     value = lmi_eval(s, point)
     w = np.linalg.eigvalsh(value)
-    psd = bool(w[0] >= -tol.abs_tol * max(1.0, frob(value)))
+    psd = bool(w[0] >= _psd_floor(value, tol))
     traces = tuple(float(np.trace(ai).real) for ai in point.a)
     return LmiMembership(psd, spectral_rank(w, tol), traces)
 
@@ -112,7 +113,7 @@ def extract_blocks(
     """
     value = lmi_eval(s, point)
     w, q = eigh(value, tol)
-    if w[-1] < -tol.abs_tol * max(1.0, frob(value)):
+    if w[-1] < _psd_floor(value, tol):
         raise NotPSD("pencil value is not positive semidefinite")
     k = point.k
     rank = spectral_rank(w, tol)
@@ -177,7 +178,7 @@ def face_channel(
     x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
     value = lmi_eval(s, LmiPoint(1, tuple(x)))
     w, vecs = eigh(value, tol)
-    if w[-1] < -tol.abs_tol * max(1.0, frob(value)):
+    if w[-1] < _psd_floor(value, tol):
         raise NotInSpectrahedron(f"scalar pencil has eigenvalue {w[-1]:.3e}")
     q = _factor_from_eigh(w, vecs, tol)
     ops = [op for op in np.einsum("mj,jab->mab", q, np.array(k.operators)) if frob(op) > tol.abs_tol]

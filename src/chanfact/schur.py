@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import DiagonalNotOne, DimensionMismatch, NotHermitian, NotPSD
-from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor, rank_tol
+from .linalg import DEFAULT_TOL, Tolerance, _psd_floor, frob, psd_factor, spectral_rank
 
 
 @dataclass
@@ -56,16 +56,15 @@ def validate_correlation(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Correla
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"correlation matrix must be square, got {m.shape}")
-    scale = max(1.0, frob(m))
-    if frob(m - m.conj().T) > tol.abs_tol * scale:
+    if frob(m - m.conj().T) > tol.abs_tol * max(1.0, frob(m)):
         raise NotHermitian("correlation matrix is not Hermitian within tolerance")
     diag_defect = float(np.abs(np.diag(m) - 1.0).max())
     if diag_defect > tol.abs_tol:
         raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_defect:.3e}")
     w = np.linalg.eigvalsh(m)
-    if w[0] < -tol.abs_tol * scale:
+    if w[0] < _psd_floor(m, tol):
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e}")
-    return CorrelationMatrix(m, rank_tol(m, tol))
+    return CorrelationMatrix(m, spectral_rank(w, tol))
 
 
 def gram_from_correlation(c: CorrelationMatrix, tol: Tolerance = DEFAULT_TOL) -> GramVectors:

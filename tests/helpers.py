@@ -11,9 +11,7 @@ from chanfact import (
     KrausChannel,
     NotHermitian,
     SchemaError,
-    complement_data,
     frob,
-    kernel_basis,
     kron,
 )
 
@@ -144,17 +142,31 @@ def reference_factor_gram(cert, f):
     return gram
 
 
+def reference_adjoint_operator_matrix(k):
+    """The complement adjoint Y -> sum_ij y_ij K_i* K_j as an n^2 x p^2 matrix.
+
+    Column (i, j), in row-major order, is the column-stacked K_i* K_j, so the
+    matrix sends the row-major flattening of Y to the column-stacked image.
+    """
+    ops = k.operators
+    return np.column_stack([(ki.conj().T @ kj).ravel(order="F") for ki in ops for kj in ops])
+
+
 def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
     """Greedy Hermitian kernel basis, one real-rank SVD per candidate.
 
     The reference for the single decomposition in ``selfadjoint_kernel_basis``:
-    from a complex orthonormal kernel basis {B}, the candidates (B + B*)/2 and
+    from a complex orthonormal basis {B} of the null space of
+    :func:`reference_adjoint_operator_matrix`, the candidates (B + B*)/2 and
     (B - B*)/(2i) that raise the real-linear rank are kept, then made
     HS-orthonormal by a QR with nonnegative diagonal.
     """
     p = k.num_kraus
+    mat = reference_adjoint_operator_matrix(k)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(s > tol.rel_rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
     candidates = []
-    for c in kernel_basis(complement_data(k, tol).adjoint_operator_matrix, tol):
+    for c in vh[rank:].conj():
         y = c.reshape(p, p)
         candidates.append((y + y.conj().T) / 2.0)
         candidates.append((y - y.conj().T) / 2.0j)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from chanfact import (
+    DEFAULT_TOL,
     FactorAlgebra,
     FactorizationCertificate,
     KrausChannel,
     LmiPoint,
     LmiSystem,
+    Tolerance,
     certificate_from_point,
     channel_from_dilation,
     choi_from_kraus,
@@ -19,7 +21,7 @@ from chanfact import (
     jsonio,
     schur_channel_from_gram,
 )
-from chanfact.cli import main
+from chanfact.cli import _build_parser, main
 from helpers import reference_dumps
 
 
@@ -59,6 +61,11 @@ def test_check_identity_channel(tmp_path, capsys):
     assert code == 0
     assert doc == {"trace_preserving": True, "unital": True, "completely_positive": True}
     assert "check" in err
+
+
+def test_tolerance_defaults_are_the_library_defaults():
+    args = _build_parser().parse_args(["check"])
+    assert Tolerance(abs_tol=args.tol, rel_rank_tol=args.rank_tol) == DEFAULT_TOL
 
 
 def test_json_flag_suppresses_summary(tmp_path, capsys):

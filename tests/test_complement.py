@@ -7,8 +7,6 @@ from chanfact import (
     apply_complement,
     apply_complement_adjoint,
     channel_from_dilation,
-    complement_data,
-    complement_range_basis,
     frob,
     hm_example,
     is_extreme_channel,
@@ -22,6 +20,7 @@ from helpers import (
     haar_unitary,
     random_hermitian,
     random_tp_channel,
+    reference_adjoint_operator_matrix,
     reference_apply_complement,
     reference_selfadjoint_kernel_basis,
 )
@@ -83,17 +82,14 @@ def test_complement_adjoint_duality():
 
 
 def test_complement_data_operator_matrix():
+    # layout of the kernel reference's operator matrix: row-major Y in, vec out
     rng = np.random.default_rng(23)
     k = random_tp_channel(rng, 2, 3)
-    data = complement_data(k)
-    assert data.adjoint_operator_matrix.shape == (4, 9)
+    mat = reference_adjoint_operator_matrix(k)
+    assert mat.shape == (4, 9)
     y = complex_gaussian(rng, (3, 3))
-    via_matrix = data.adjoint_operator_matrix @ y.ravel()
+    via_matrix = mat @ y.ravel()
     assert np.linalg.norm(via_matrix - vec(apply_complement_adjoint(k, y))) < 1e-12
-
-
-def test_kernel_dim_of_dephasing():
-    assert complement_data(dephasing()).kernel_dim == 2
 
 
 def test_selfadjoint_kernel_basis_dephasing():
@@ -135,7 +131,7 @@ def test_selfadjoint_kernel_basis_matches_greedy_reference():
         d = len(basis)
         dims[name] = d
         assert d == len(reference), name
-        assert d == p * p - rank_tol(complement_data(k).adjoint_operator_matrix), name
+        assert d == p * p - rank_tol(reference_adjoint_operator_matrix(k)), name
         assert is_extreme_channel(k) == (d == 0), name
         if d == 0:
             continue
@@ -154,27 +150,6 @@ def test_selfadjoint_kernel_basis_matches_greedy_reference():
 def test_selfadjoint_kernel_basis_requires_tp():
     with pytest.raises(NotTracePreserving):
         selfadjoint_kernel_basis(KrausChannel((np.eye(2) * 0.4,)))
-
-
-def test_kernel_plus_range_fills_matrix_space():
-    rng = np.random.default_rng(24)
-    channels = [random_tp_channel(rng, n, p) for n, p in [(2, 2), (3, 2), (2, 3)]]
-    for k in channels + [dilation(rng, 3, 3)]:
-        p = k.num_kraus
-        kernel = selfadjoint_kernel_basis(k)
-        image = complement_range_basis(k)
-        assert len(kernel) + len(image) == p * p
-        for g in image:
-            assert frob(g - g.conj().T) == 0.0
-            for h in kernel:
-                assert abs(np.vdot(g, h)) < 1e-9
-
-
-def test_complement_range_basis_dephasing():
-    image = complement_range_basis(dephasing())
-    assert len(image) == 2
-    for g in image:
-        assert frob(g - np.diag(np.diag(g))) < 1e-12
 
 
 def test_unitary_mixing_of_kraus_conjugates_complement():

@@ -11,6 +11,7 @@ from chanfact import (
     LmiSystem,
     NotPSD,
     RankTooHigh,
+    Tolerance,
     TraceNotZero,
     apply_channel,
     certificate_from_point,
@@ -89,6 +90,14 @@ def test_dilation_certificate_elements_are_matrix_units():
         blk = element[0]
         assert np.count_nonzero(blk) == 1
         assert abs(np.abs(blk).max() - np.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 0.8, 2.0])
+def test_dilation_certificate_keeps_the_channels_blocks(abs_tol):
+    # at large abs_tol every block is dropped and the channel keeps K_00
+    w = haar_unitary(np.random.default_rng(3), 4)
+    channel, cert = dilation_certificate(w, 2, 2, Tolerance(abs_tol=abs_tol))
+    assert channel.num_kraus == cert.num_elements
 
 
 def test_hm_certificate_from_point():

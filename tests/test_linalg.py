@@ -10,7 +10,6 @@ from chanfact import (
     complete_isometry,
     eigh,
     frob,
-    kernel_basis,
     kron,
     partial_trace,
     psd_factor,
@@ -105,22 +104,6 @@ def test_spectral_rank_of_eigenvalues_equals_rank_tol():
                 assert spectral_rank(w) == rank_tol(h) == r
     assert spectral_rank(np.zeros(3)) == 0
     assert spectral_rank(np.array([])) == 0
-
-
-def test_kernel_basis_spans_null_space():
-    rng = np.random.default_rng(6)
-    a = complex_gaussian(rng, (3, 5))
-    basis = kernel_basis(a)
-    assert len(basis) == 2
-    for v in basis:
-        assert np.linalg.norm(a @ v) < 1e-12
-    gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-    assert frob(gram - np.eye(2)) < 1e-12
-
-
-def test_kernel_basis_of_zero_matrix_is_full():
-    basis = kernel_basis(np.zeros((2, 3)))
-    assert len(basis) == 3
 
 
 def test_partial_trace_of_kron():

@@ -8,16 +8,26 @@ from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chanfact import (  # noqa: E402
+    GramVectors,
     LmiPoint,
     LmiSystem,
     NotPSD,
     RankTooHigh,
+    correlation_from_gram,
     extract_blocks,
     frob,
+    gram_from_correlation,
     hm_derived_point,
     hm_example,
+    is_extreme_channel,
     lmi_eval,
     lmi_membership,
+    rank_tol,
+    schur_channel,
+    schur_channel_from_gram,
+    schur_complement_adjoint_apply,
+    schur_complement_apply,
+    selfadjoint_kernel_basis,
 )
 
 HM_SYSTEM = LmiSystem(3, hm_example().z)
@@ -73,3 +83,46 @@ def test_extract_blocks_decides_as_membership(case):
     gram = np.block([[bi.conj().T @ bj for bj in blocks] for bi in blocks])
     assert gram.shape == value.shape == (p * point.k, p * point.k)
     assert frob(gram - value) <= 1e-9 * max(1.0, frob(value))
+
+
+def li_tam_dimensions(w, channel):
+    """Kernel dimension d of a Schur channel with unit Gram family w, and the
+    two closed forms r^2 - dim span{w_l w_l*}, r being the Gram rank: from the
+    outer products, and from the closed-form complement's images of E_ll.
+    Also checks that the closed-form adjoint annihilates the kernel basis."""
+    r = rank_tol(np.column_stack(w.vectors))
+    outer = np.array([np.outer(v, v.conj()).ravel() for v in w.vectors])
+    images = np.array([schur_complement_apply(w, np.diag(e)).ravel() for e in np.eye(w.n)])
+    basis = selfadjoint_kernel_basis(channel)
+    for z in basis:
+        assert frob(schur_complement_adjoint_apply(w, z)) < 1e-9
+    return len(basis), r * r - rank_tol(outer), r * r - rank_tol(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r * r + 2))),
+       st.integers(0, 2**32 - 1))
+def test_schur_kernel_dimension_is_li_tam_defect(shape, seed):
+    # Li-Tam: C is an extreme correlation matrix iff the w_l w_l* are independent,
+    # i.e. iff the Schur channel's complement adjoint has a trivial kernel
+    r, n = shape
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    drawn = GramVectors(tuple(g / np.linalg.norm(g, axis=1, keepdims=True)))
+    c = correlation_from_gram(drawn)
+    assert c.rank == min(n, r)
+    channel = schur_channel(c)
+    d, via_outer, via_images = li_tam_dimensions(gram_from_correlation(c), channel)
+    # the drawn family spans the same outer-product space up to an isometry
+    outer = np.array([np.outer(v, v.conj()).ravel() for v in drawn.vectors])
+    drawn_outer = c.rank**2 - rank_tol(outer)
+    assert d == via_outer == via_images == drawn_outer
+    assert is_extreme_channel(channel) == (d == 0)
+    event(f"d = {d}")
+
+
+def test_hm_li_tam_defect_is_three():
+    hm = hm_example()
+    channel = schur_channel_from_gram(hm.w)
+    assert li_tam_dimensions(hm.w, channel) == (3, 3, 3)
+    assert not is_extreme_channel(channel)
