@@ -20,40 +20,29 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _stack,
     complete_isometry,
     frob,
-    kron,
     psd_factor,
-    unvec,
-    vec,
 )
 
 
 @dataclass
 class KrausChannel:
-    """A channel given by one or more Kraus operators of a common shape."""
+    """A channel given by p >= 1 Kraus operators, stored as one complex p x m x n array."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
-        if len(ops) == 0:
-            raise DimensionMismatch("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2:
-            raise DimensionMismatch("Kraus operators must be matrices")
-        for op in ops:
-            if op.shape != shape:
-                raise DimensionMismatch("Kraus operators must share one shape")
-        self.operators = ops
+        self.operators = _stack(self.operators, (None, None), "Kraus operators")
 
     @property
     def dim_in(self) -> int:
-        return self.operators[0].shape[1]
+        return self.operators.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     @property
     def num_kraus(self) -> int:
@@ -86,7 +75,7 @@ class ChannelChecks:
 
 def choi_from_kraus(k: KrausChannel) -> ChoiMatrix:
     """Choi matrix sum_ij E_ij (x) Phi(E_ij) of a Kraus-form channel."""
-    kmat = np.column_stack([vec(op) for op in k.operators])
+    kmat = k.operators.transpose(0, 2, 1).reshape(k.num_kraus, -1).T  # column i is vec(K_i)
     return ChoiMatrix(k.dim_in, k.dim_out, kmat @ kmat.conj().T)
 
 
@@ -101,9 +90,9 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel
     b = psd_factor(c.matrix, tol)
     m, n = c.dim_out, c.dim_in
     if b.shape[0] == 0:
-        return KrausChannel((np.zeros((m, n), dtype=complex),))
-    ops = tuple(unvec(b[i].conj(), m, n) for i in range(b.shape[0]))
-    return KrausChannel(ops)
+        return KrausChannel(np.zeros((1, m, n)))
+    # row i of b is conj(vec(K_i))
+    return KrausChannel(b.conj().reshape(-1, n, m).transpose(0, 2, 1))
 
 
 def apply_channel(k: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -155,11 +144,8 @@ def stinespring_dilation(
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("stinespring_dilation requires a trace-preserving channel")
     m, n, p = k.dim_out, k.dim_in, k.num_kraus
-    v = np.zeros((m * p, n), dtype=complex)
-    for i, op in enumerate(k.operators):
-        e = np.zeros((p, 1), dtype=complex)
-        e[i, 0] = 1.0
-        v += kron(op, e)
+    # sum_i K_i (x) e_i; + 0.0 turns -0.0 into +0.0 as the summed kron did
+    v = k.operators.transpose(1, 0, 2).reshape(m * p, n) + 0.0
     u0 = complete_isometry(v, tol)
     # route column b of v to position (b, environment index 1) so that the
     # reconstruction identity holds in the kron layout
@@ -182,13 +168,13 @@ def channel_from_dilation(
     lexicographic (a, b) order; numerically zero operators are dropped. The
     result is trace preserving by construction.
     """
-    return KrausChannel(tuple(op for _, op in _dilation_blocks(w, n, k, tol)))
+    return KrausChannel(_dilation_blocks(w, n, k, tol)[1])
 
 
 def _dilation_blocks(
     w: np.ndarray, n: int, k: int, tol: Tolerance
-) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """The kept ((a, b), K_ab) of a dilation unitary, in lexicographic order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kept indices a*k + b and stacked K_ab of a dilation unitary, in that order.
 
     K_ab is kept when its norm exceeds ``abs_tol``; when none is, K_00 alone
     is kept, so the channel and its certificate always share one index list.
@@ -199,10 +185,10 @@ def _dilation_blocks(
     scale = max(1.0, frob(w))
     if frob(w.conj().T @ w - np.eye(n * k)) > tol.abs_tol * scale:
         raise NotUnitary("dilation matrix is not unitary within tolerance")
-    blocks = w.reshape(n, k, n, k)
-    root = 1.0 / np.sqrt(k)
-    kept = [((a, b), root * blocks[:, a, :, b]) for a in range(k) for b in range(k)]
-    return [(ab, op) for ab, op in kept if frob(op) > tol.abs_tol] or kept[:1]
+    ops = (1.0 / np.sqrt(k)) * w.reshape(n, k, n, k).transpose(1, 3, 0, 2).reshape(k * k, n, n)
+    big = np.linalg.norm(ops, axis=(1, 2)) > tol.abs_tol
+    keep = np.flatnonzero(big) if big.any() else np.zeros(1, dtype=int)
+    return keep, ops[keep]
 
 
 def convex_combine_channels(
@@ -213,7 +199,6 @@ def convex_combine_channels(
         raise ValueError(f"mixing weight must lie strictly in (0, 1), got {t!r}")
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise DimensionMismatch("channels must share input and output dimensions")
-    ops = tuple(np.sqrt(t) * op for op in k1.operators) + tuple(
-        np.sqrt(1.0 - t) * op for op in k2.operators
+    return KrausChannel(
+        np.concatenate([np.sqrt(t) * k1.operators, np.sqrt(1.0 - t) * k2.operators])
     )
-    return KrausChannel(ops)

@@ -18,8 +18,7 @@ from .linalg import DEFAULT_TOL, Tolerance, spectral_rank
 
 def _kraus_products(k: KrausChannel) -> np.ndarray:
     """Kraus product tensor A[i, j] = K_i* K_j, shape p x p x n x n."""
-    ops = np.stack(k.operators)
-    return np.einsum("iab,jac->ijbc", ops.conj(), ops)
+    return np.einsum("iab,jac->ijbc", k.operators.conj(), k.operators)
 
 
 def _hermitian_units(p: int) -> np.ndarray:

@@ -135,7 +135,6 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
         raise DimensionMismatch(
             f"certificate has {cert.num_elements} elements for {p} Kraus operators"
         )
-    ops = np.stack(k.operators)
     kraus_gram = _kraus_products(k)
     defect = np.einsum("iibc->bc", kraus_gram)
     kraus_gram = kraus_gram.reshape(p * p, n * n)
@@ -151,7 +150,7 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
         r = (kraus_gram.T @ w.reshape(p * p, d * d)).reshape(n, n, d, d)
         r -= defect[:, :, None, None] * np.eye(d)
         compl = max(compl, float(np.linalg.norm(r.reshape(n * n, d * d), axis=1).max()))
-        u = np.einsum("iab,ixy->axby", ops, v).reshape(n * d, n * d)
+        u = np.einsum("iab,ixy->axby", k.operators, v).reshape(n * d, n * d)
         unit_sq += frob(u.conj().T @ u - np.eye(n * d)) ** 2
     orth = float(np.abs(inner - np.eye(p)).max())
     unit = float(np.sqrt(unit_sq))
@@ -235,7 +234,6 @@ def decompose_by_factors(
     report, traces = _verify(k, cert, tol)
     if not report.passed:
         raise CertificateInvalid("cannot decompose along a failing certificate")
-    kraus = np.array(k.operators)
     components = []
     for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, _block_stacks(cert))):
         gram = traces[f] / d
@@ -247,7 +245,7 @@ def decompose_by_factors(
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
         elements = tuple((e,) for e in np.tensordot(vecs[:, :r] / np.sqrt(w[:r]), blocks, (0, 0)))
         sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
-        channel = KrausChannel(tuple(np.tensordot(qmat, kraus, 1)))
+        channel = KrausChannel(np.tensordot(qmat, k.operators, 1))
         components.append(FactorComponent(q, channel, sub_cert, gram))
     return components
 
@@ -325,11 +323,8 @@ def dilation_certificate(
     sqrt(k) E_ab directly; both lists keep the indices that
     :func:`channel_from_dilation` keeps.
     """
-    kept = _dilation_blocks(w, n, k, tol)
-    elements = []
-    for (a, b), _ in kept:
-        unit = np.zeros((k, k), dtype=complex)
-        unit[a, b] = np.sqrt(k)
-        elements.append((unit,))
-    channel = KrausChannel(tuple(op for _, op in kept))
-    return channel, FactorizationCertificate(FactorAlgebra(((k, 1.0),)), tuple(elements))
+    keep, ops = _dilation_blocks(w, n, k, tol)
+    units = np.zeros((keep.size, k * k), dtype=complex)
+    units[np.arange(keep.size), keep] = np.sqrt(k)
+    elements = tuple((unit,) for unit in units.reshape(-1, k, k))
+    return KrausChannel(ops), FactorizationCertificate(FactorAlgebra(((k, 1.0),)), elements)

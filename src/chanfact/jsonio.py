@@ -206,7 +206,7 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     for i, op in enumerate(ops):
         if op.shape != (m, n):
             raise SchemaError(f"{where}.kraus[{i}]: expected shape {(m, n)}, got {op.shape}")
-    return KrausChannel(tuple(ops))
+    return KrausChannel(ops)
 
 
 def choi_to_json(c: ChoiMatrix) -> dict:
@@ -247,24 +247,24 @@ def gram_to_json(w: GramVectors) -> dict:
     }
 
 
-def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> tuple:
-    """A list of size x size matrices, Hermitian within ``tol``. One stacked norm
-    passes a valid list; only a failing one is walked in order, so the error
-    names the first offender."""
+def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> np.ndarray:
+    """A list of size x size matrices, Hermitian within ``tol``, as one
+    count x size x size array. One stacked norm passes a valid list; only a
+    failing one is walked in order, so the error names the first offender."""
     if not isinstance(items, list):
         raise SchemaError(f"{where}: expected a list")
-    mats = tuple(matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items))
-    if mats and all(m.shape == (size, size) for m in mats):
-        stack = np.stack(mats)
+    mats = [matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items)]
+    if all(m.shape == (size, size) for m in mats):
+        stack = np.array(mats, dtype=complex).reshape(-1, size, size)
         dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
         if np.all(dev <= tol.abs_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
-            return mats
+            return stack
     for i, m in enumerate(mats):
         if m.shape != (size, size):
             raise SchemaError(f"{where}[{i}]: expected shape {(size, size)}")
         if np.linalg.norm(m - m.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(m)):
             raise SchemaError(f"{where}[{i}]: must be Hermitian")
-    return mats
+    return stack
 
 
 def lmi_to_json(s: LmiSystem) -> dict:

@@ -54,6 +54,28 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _stack(mats, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """A family of equally shaped arrays as one C-contiguous complex (count, *shape) array.
+
+    ``shape`` gives the element shape; a None entry takes that size from the
+    family itself. An empty family needs a fully given shape. Raises
+    DimensionMismatch for a ragged or empty family and a wrong element shape.
+    """
+    try:
+        arr = np.ascontiguousarray(mats, dtype=complex)
+    except ValueError:
+        raise DimensionMismatch(f"{what} must share one shape") from None
+    if arr.shape == (0,):  # an empty sequence carries no element shape
+        arr = arr.reshape(0, *(n or 0 for n in shape))
+    if arr.ndim != len(shape) + 1 or any(
+        n is not None and n != got for n, got in zip(shape, arr.shape[1:])
+    ):
+        raise DimensionMismatch(f"{what}: element shape {arr.shape[1:]}, expected {shape}")
+    if len(arr) == 0 and None in shape:
+        raise DimensionMismatch(f"{what}: need at least one")
+    return arr
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -113,11 +135,15 @@ def _psd_floor(m: np.ndarray, tol: Tolerance) -> float:
     return -tol.abs_tol * max(1.0, frob(m))
 
 
+def _factor_rank(w: np.ndarray, tol: Tolerance) -> int:
+    """Rank of a matrix that passed the PSD test, from its eigenvalues: the count
+    above ``rel_rank_tol * max(lambda_max, 0)``, so tolerated negative ones drop out."""
+    return int(np.sum(w > tol.rel_rank_tol * w.max(initial=0.0)))
+
+
 def _factor_from_eigh(w: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
     """:func:`psd_factor`'s rows sqrt(lambda) q* from :func:`eigh` output, no PSD check."""
-    wmax = float(w[0]) if w.size else 0.0
-    threshold = tol.rel_rank_tol * max(wmax, 0.0)
-    r = int(np.sum(w > threshold))
+    r = _factor_rank(w, tol)
     return np.sqrt(w[:r])[:, None] * q[:, :r].conj().T
 
 

@@ -1,7 +1,7 @@
 """Linear matrix inequality built from the complement adjoint kernel.
 
 For a trace-preserving channel with p Kraus operators the system carries
-Hermitian p x p matrices Z_1..Z_d spanning that kernel. A point is a tuple
+Hermitian p x p matrices Z_1..Z_d spanning that kernel. A point is a family
 of Hermitian k x k matrices A_1..A_d, and the pencil
 
     L_Z(A) = I_p (x) I_k + sum_i Z_i (x) A_i
@@ -27,23 +27,20 @@ from .errors import (
     RankTooHigh,
 )
 from .linalg import DEFAULT_TOL, Tolerance, eigh, frob, rank_tol, spectral_rank
-from .linalg import _factor_from_eigh, _psd_floor
+from .linalg import _factor_from_eigh, _factor_rank, _psd_floor, _stack
 
 
 @dataclass
 class LmiSystem:
-    """Pencil data: p and a Hermitian, real-linearly independent basis (see point_from_blocks)."""
+    """Pencil data: p and a Hermitian, real-linearly independent d x p x p basis z
+    (see point_from_blocks)."""
 
     p: int
-    z: tuple[np.ndarray, ...]
+    z: np.ndarray
     source: KrausChannel | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        zs = tuple(np.asarray(zi, dtype=complex) for zi in self.z)
-        for zi in zs:
-            if zi.shape != (self.p, self.p):
-                raise DimensionMismatch(f"basis element has shape {zi.shape}, expected {(self.p, self.p)}")
-        self.z = zs
+        self.z = _stack(self.z, (self.p, self.p), "basis elements")
 
     @property
     def d(self) -> int:
@@ -52,17 +49,13 @@ class LmiSystem:
 
 @dataclass
 class LmiPoint:
-    """A tuple of d Hermitian k x k coefficient matrices."""
+    """d Hermitian k x k coefficient matrices, stored as one complex d x k x k array."""
 
     k: int
-    a: tuple[np.ndarray, ...]
+    a: np.ndarray
 
     def __post_init__(self) -> None:
-        mats = tuple(np.asarray(ai, dtype=complex) for ai in self.a)
-        for ai in mats:
-            if ai.shape != (self.k, self.k):
-                raise DimensionMismatch(f"point entry has shape {ai.shape}, expected {(self.k, self.k)}")
-        self.a = mats
+        self.a = _stack(self.a, (self.k, self.k), "point entries")
 
 
 @dataclass(frozen=True)
@@ -74,8 +67,7 @@ class LmiMembership:
 
 def build_lmi(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> LmiSystem:
     """System whose basis is the self-adjoint kernel of the complement adjoint."""
-    basis = selfadjoint_kernel_basis(k, tol)
-    return LmiSystem(k.num_kraus, tuple(basis), source=k)
+    return LmiSystem(k.num_kraus, selfadjoint_kernel_basis(k, tol), source=k)
 
 
 def lmi_eval(s: LmiSystem, point: LmiPoint) -> np.ndarray:
@@ -86,7 +78,7 @@ def lmi_eval(s: LmiSystem, point: LmiPoint) -> np.ndarray:
     if not s.d:
         return np.eye(p * k, dtype=complex)
     # (p^2 x k^2) entries Z_ab A_xy summed over i, reordered to rows (a, x), columns (b, y)
-    terms = np.array(s.z).reshape(s.d, p * p).T @ np.array(point.a).reshape(s.d, k * k)
+    terms = s.z.reshape(s.d, p * p).T @ point.a.reshape(s.d, k * k)
     out = terms.reshape(p, p, k, k).transpose(0, 2, 1, 3).reshape(p * k, p * k)
     out += np.eye(p * k)
     return out
@@ -97,8 +89,10 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     value = lmi_eval(s, point)
     w = np.linalg.eigvalsh(value)
     psd = bool(w[0] >= _psd_floor(value, tol))
-    traces = tuple(float(np.trace(ai).real) for ai in point.a)
-    return LmiMembership(psd, spectral_rank(w, tol), traces)
+    # a PSD value's rank is the factor's; a tolerated negative eigenvalue adds nothing
+    rank = _factor_rank(w, tol) if psd else spectral_rank(w, tol)
+    traces = tuple(np.trace(point.a, axis1=1, axis2=2).real.tolist())
+    return LmiMembership(psd, rank, traces)
 
 
 def extract_blocks(
@@ -116,10 +110,9 @@ def extract_blocks(
     if w[-1] < _psd_floor(value, tol):
         raise NotPSD("pencil value is not positive semidefinite")
     k = point.k
-    rank = spectral_rank(w, tol)
-    if rank > k:
-        raise RankTooHigh(f"pencil value has rank {rank} > {k}")
     b = _factor_from_eigh(w, q, tol)
+    if b.shape[0] > k:
+        raise RankTooHigh(f"pencil value has rank {b.shape[0]} > {k}")
     v = np.zeros((k, s.p * k), dtype=complex)
     v[: b.shape[0], :] = b
     return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
@@ -137,16 +130,12 @@ def point_from_blocks(
     """
     if len(blocks) != s.p:
         raise DimensionMismatch(f"expected {s.p} blocks, got {len(blocks)}")
-    mats = [np.asarray(b, dtype=complex) for b in blocks]
-    k = mats[0].shape[0]
-    for b in mats:
-        if b.shape != (k, k):
-            raise DimensionMismatch("blocks must be square and equally sized")
-    v = np.column_stack(mats).reshape(k, s.p * k)
+    k = len(blocks[0])
+    v = _stack(blocks, (k, k), "blocks").transpose(1, 0, 2).reshape(k, s.p * k)
     g = v.conj().T @ v
-    a = []
+    a = np.zeros((0, k, k))
     if s.d:
-        flat = np.stack(s.z).reshape(s.d, s.p * s.p)
+        flat = s.z.reshape(s.d, s.p * s.p)
         gzz = (flat.conj() @ flat.T).real
         rank = rank_tol(gzz, tol)
         if rank < s.d:
@@ -154,8 +143,8 @@ def point_from_blocks(
         resid = (g - np.eye(s.p * k)).reshape(s.p, k, s.p, k)
         contracted = flat.conj() @ resid.transpose(0, 2, 1, 3).reshape(s.p * s.p, k * k)
         coeff = np.linalg.solve(gzz, contracted).reshape(s.d, k, k)
-        a = list((coeff + coeff.conj().transpose(0, 2, 1)) / 2.0)
-    point = LmiPoint(k, tuple(a))
+        a = (coeff + coeff.conj().transpose(0, 2, 1)) / 2.0
+    point = LmiPoint(k, a)
     rebuilt = lmi_eval(s, point)
     if frob(g - rebuilt) > tol.abs_tol * max(1.0, frob(g)):
         raise NotInSpan(f"projection residual {frob(g - rebuilt):.3e}")
@@ -176,12 +165,13 @@ def face_channel(
     """
     s = system if system is not None else build_lmi(k, tol)
     x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    value = lmi_eval(s, LmiPoint(1, tuple(x)))
+    value = lmi_eval(s, LmiPoint(1, x))
     w, vecs = eigh(value, tol)
     if w[-1] < _psd_floor(value, tol):
         raise NotInSpectrahedron(f"scalar pencil has eigenvalue {w[-1]:.3e}")
     q = _factor_from_eigh(w, vecs, tol)
-    ops = [op for op in np.einsum("mj,jab->mab", q, np.array(k.operators)) if frob(op) > tol.abs_tol]
-    if not ops:
+    ops = np.einsum("mj,jab->mab", q, k.operators)
+    ops = ops[np.linalg.norm(ops, axis=(1, 2)) > tol.abs_tol]
+    if not len(ops):
         raise NotInSpectrahedron("face selection produced an empty Kraus family")
-    return KrausChannel(tuple(ops))
+    return KrausChannel(ops)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import DiagonalNotOne, DimensionMismatch, NotHermitian, NotPSD
-from .linalg import DEFAULT_TOL, Tolerance, _psd_floor, frob, psd_factor, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, _psd_floor, _stack, frob, psd_factor, spectral_rank
 
 
 @dataclass
@@ -28,27 +28,20 @@ class CorrelationMatrix:
 
 @dataclass
 class GramVectors:
-    """Unit vectors w_1..w_n in C^p with inner products <w_i, w_j> = c_ij."""
+    """Unit vectors w_1..w_n in C^p, <w_i, w_j> = c_ij, stored as the rows of one n x p array."""
 
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        vecs = tuple(np.asarray(w, dtype=complex).reshape(-1) for w in self.vectors)
-        if not vecs:
-            raise DimensionMismatch("need at least one Gram vector")
-        p = vecs[0].size
-        for w in vecs:
-            if w.size != p:
-                raise DimensionMismatch("Gram vectors must share one ambient dimension")
-        self.vectors = vecs
+        self.vectors = _stack(self.vectors, (None,), "Gram vectors")
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return self.vectors.shape[0]
 
     @property
     def p(self) -> int:
-        return self.vectors[0].size
+        return self.vectors.shape[1]
 
 
 def validate_correlation(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
@@ -74,17 +67,12 @@ def gram_from_correlation(c: CorrelationMatrix, tol: Tolerance = DEFAULT_TOL) ->
     unit vectors with <w_i, w_j> = c_ij.
     """
     b = psd_factor(c.matrix, tol)
-    return GramVectors(tuple(b[:, i] for i in range(b.shape[1])))
+    return GramVectors(b.T)
 
 
 def correlation_from_gram(w: GramVectors, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
     """Correlation matrix [<w_i, w_j>] of a unit Gram family."""
-    n = w.n
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = np.vdot(w.vectors[i], w.vectors[j])
-    return validate_correlation(mat, tol)
+    return validate_correlation(w.vectors.conj() @ w.vectors.T, tol)
 
 
 def schur_channel_from_gram(w: GramVectors) -> KrausChannel:
@@ -93,8 +81,8 @@ def schur_channel_from_gram(w: GramVectors) -> KrausChannel:
     The i-th Kraus operator is diag(v_i) with v_ij = conj(w_j)_i, so the
     channel maps X to X o C for C = [<w_i, w_j>].
     """
-    b = np.column_stack(w.vectors)
-    ops = tuple(np.diag(b[i, :].conj()) for i in range(w.p))
+    ops = np.zeros((w.p, w.n, w.n), dtype=complex)
+    ops[:, np.arange(w.n), np.arange(w.n)] = w.vectors.T.conj()
     return KrausChannel(ops)
 
 
@@ -108,10 +96,7 @@ def schur_complement_apply(w: GramVectors, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (w.n, w.n):
         raise DimensionMismatch(f"input must be {w.n}x{w.n}, got {x.shape}")
-    out = np.zeros((w.p, w.p), dtype=complex)
-    for i, wi in enumerate(w.vectors):
-        out += x[i, i] * np.outer(wi.conj(), wi)
-    return out
+    return (w.vectors.conj().T * np.diag(x)) @ w.vectors
 
 
 def schur_complement_adjoint_apply(w: GramVectors, y: np.ndarray) -> np.ndarray:
@@ -119,8 +104,7 @@ def schur_complement_adjoint_apply(w: GramVectors, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.shape != (w.p, w.p):
         raise DimensionMismatch(f"input must be {w.p}x{w.p}, got {y.shape}")
-    entries = [wi @ (y @ wi.conj()) for wi in w.vectors]
-    return np.diag(np.asarray(entries, dtype=complex))
+    return np.diag(np.einsum("ia,ab,ib->i", w.vectors, y, w.vectors.conj()))
 
 
 @dataclass

@@ -131,6 +131,22 @@ def test_membership_rank_equals_rank_tol_of_pencil_value():
     assert lmi_membership(system, points[0]).rank == 2
 
 
+def test_tolerated_negative_eigenvalues_leave_the_rank():
+    # eigenvalues 2 + 2.5e-9 (twice) and -2.5e-9 (twice): PSD within the floor
+    # -1e-9 * ||L||_F, and above the relative rank cut in modulus
+    s = scalar_system()
+    point = LmiPoint(2, ((1.0 + 2.5e-9) * np.eye(2),))
+    value = lmi_eval(s, point)
+    assert np.linalg.eigvalsh(value)[0] < 0.0
+    mem = lmi_membership(s, point)
+    assert mem.psd and mem.rank == 2
+    blocks = extract_blocks(s, point)
+    assert len(blocks) == 2 and all(b.shape == (2, 2) for b in blocks)
+    gram = np.block([[bi.conj().T @ bj for bj in blocks] for bi in blocks])
+    assert frob(gram - value) <= 1e-8
+    assert psd_factor(value).shape[0] == 2
+
+
 def test_point_from_blocks_roundtrip():
     _, system, point = hm_setup()
     blocks = extract_blocks(system, point)

@@ -9,26 +9,34 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chanfact import (  # noqa: E402
     GramVectors,
+    KrausChannel,
     LmiPoint,
     LmiSystem,
     NotPSD,
     RankTooHigh,
     correlation_from_gram,
+    apply_channel,
+    choi_from_kraus,
     extract_blocks,
     frob,
     gram_from_correlation,
     hm_derived_point,
     hm_example,
     is_extreme_channel,
+    kraus_from_choi,
+    kron,
     lmi_eval,
     lmi_membership,
+    partial_trace,
     rank_tol,
     schur_channel,
     schur_channel_from_gram,
     schur_complement_adjoint_apply,
     schur_complement_apply,
     selfadjoint_kernel_basis,
+    stinespring_dilation,
 )
+from helpers import haar_unitary, random_hermitian, random_tp_channel  # noqa: E402
 
 HM_SYSTEM = LmiSystem(3, hm_example().z)
 HM_POINT = np.asarray(hm_derived_point())
@@ -126,3 +134,60 @@ def test_hm_li_tam_defect_is_three():
     channel = schur_channel_from_gram(hm.w)
     assert li_tam_dimensions(hm.w, channel) == (3, 3, 3)
     assert not is_extreme_channel(channel)
+
+
+@st.composite
+def tp_channel(draw):
+    """A random trace-preserving channel M_n -> M_m with p Kraus operators, n <= m,
+    and the numpy rng that drew it, for further random inputs."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, m))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_tp_channel(rng, n, p, m=m), rng
+
+
+def close(a, b):
+    return frob(a - b) <= 1e-9 * max(1.0, frob(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tp_channel())
+def test_choi_kraus_round_trip(case):
+    channel, rng = case
+    choi = choi_from_kraus(channel)
+    recovered = kraus_from_choi(choi)
+    assert recovered.num_kraus == rank_tol(choi.matrix)
+    assert close(choi_from_kraus(recovered).matrix, choi.matrix)
+    x = random_hermitian(rng, channel.dim_in)
+    assert close(apply_channel(recovered, x), apply_channel(channel, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tp_channel())
+def test_stinespring_round_trip(case):
+    # (id (x) Tr)(u (X (x) E_11) u*) = Phi(X), X in the top-left corner of M_m
+    channel, rng = case
+    n, m = channel.dim_in, channel.dim_out
+    u, p = stinespring_dilation(channel)
+    assert p == channel.num_kraus
+    assert close(u.conj().T @ u, np.eye(m * p))
+    x = np.zeros((m, m), dtype=complex)
+    x[:n, :n] = random_hermitian(rng, n)
+    e11 = np.zeros((p, p))
+    e11[0, 0] = 1.0
+    lifted = u @ kron(x, e11) @ u.conj().T
+    assert close(partial_trace(lifted, (m, p), "right"), apply_channel(channel, x[:n, :n]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tp_channel())
+def test_unitary_mixing_keeps_choi_and_kernel_dimension(case):
+    # L_i = sum_j u_ij K_j is another Kraus family of the same channel
+    channel, rng = case
+    mixed = KrausChannel(np.tensordot(haar_unitary(rng, channel.num_kraus), channel.operators, 1))
+    assert mixed.num_kraus == channel.num_kraus
+    assert close(choi_from_kraus(mixed).matrix, choi_from_kraus(channel).matrix)
+    d = len(selfadjoint_kernel_basis(channel))
+    assert len(selfadjoint_kernel_basis(mixed)) == d
+    event(f"d = {d}")
