@@ -124,10 +124,10 @@ def channel_checks(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChannelChec
     reported so Choi-derived channels carry the full record.
     """
     n, m = k.dim_in, k.dim_out
-    s_in = sum(op.conj().T @ op for op in k.operators)
-    s_out = sum(op @ op.conj().T for op in k.operators)
-    tp = frob(s_in - np.eye(n)) <= tol.abs_tol * np.sqrt(n)
-    unital = frob(s_out - np.eye(m)) <= tol.abs_tol * np.sqrt(m)
+    column = k.operators.reshape(-1, n)  # the K_i stacked: sum_i K_i* K_i = column* column
+    row = k.operators.transpose(1, 0, 2).reshape(m, -1)  # side by side: sum_i K_i K_i* = row row*
+    tp = frob(column.conj().T @ column - np.eye(n)) <= tol.abs_tol * np.sqrt(n)
+    unital = frob(row @ row.conj().T - np.eye(m)) <= tol.abs_tol * np.sqrt(m)
     return ChannelChecks(bool(tp), bool(unital), True)
 
 

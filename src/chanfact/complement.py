@@ -4,7 +4,8 @@ For a channel with Kraus operators {K_i}_{i=1..p}, the complementary channel
 sends X to the p x p matrix with (a, b) entry Tr(K_b* K_a X); its adjoint
 sends Y to sum_ij y_ij K_i* K_j. The kernel of that adjoint drives the
 extremality test and the LMI system built in :mod:`chanfact.lmi`; one real
-SVD of the adjoint on Hermitian Y gives a Hermitian basis of it.
+SVD of the adjoint on Hermitian Y gives its dimension, and the echelon factor
+of its projector gives a Hermitian basis of it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .channel import KrausChannel, channel_checks
 from .errors import DimensionMismatch, NotTracePreserving
-from .linalg import DEFAULT_TOL, Tolerance, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, _echelon_factor, spectral_rank
 
 
 def _kraus_products(k: KrausChannel) -> np.ndarray:
@@ -25,7 +26,8 @@ def _hermitian_units(p: int) -> np.ndarray:
     """p^2 x p^2 matrix whose columns are the row-major flattenings of the
     HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)
     of Herm(p), in that order."""
-    iu, ju = np.triu_indices(p, 1)
+    # np.triu_indices(p, 1), at a third of its cost
+    iu, ju = np.nonzero(np.arange(p)[:, None] < np.arange(p))
     off = np.arange(iu.size)
     units = np.zeros((p, p, p * p), dtype=complex)
     units[np.arange(p), np.arange(p), np.arange(p)] = 1.0
@@ -43,9 +45,9 @@ def _hermitian_kernel(k: KrausChannel, tol: Tolerance) -> np.ndarray:
     map has the singular values of the complex one: the rank, and hence the
     kernel dimension, is that of the n^2 x p^2 operator matrix.
 
-    Returns the d = p^2 - rank HS-orthonormal Hermitian matrices given by the
-    trailing right singular vectors, each coefficient vector signed so that
-    its first entry above ``rel_rank_tol`` is positive.
+    Returns the d = p^2 - rank HS-orthonormal Hermitian matrices whose
+    coefficient vectors are the orthonormal echelon factor of the projector
+    onto the span of the trailing right singular vectors.
     """
     p = k.num_kraus
     units = _hermitian_units(p)
@@ -54,9 +56,13 @@ def _hermitian_kernel(k: KrausChannel, tol: Tolerance) -> np.ndarray:
     # the kernel needs all p^2 right singular vectors, also when 2n^2 < p^2
     _, s, vt = np.linalg.svd(real_map, full_matrices=real_map.shape[0] < p * p)
     kernel = vt[spectral_rank(s, tol) :]
-    lead = np.argmax(np.abs(kernel) > tol.rel_rank_tol, axis=1)
-    signs = np.where(kernel[np.arange(kernel.shape[0]), lead] < 0.0, -1.0, 1.0)
-    return ((signs[:, None] * kernel) @ units.T).reshape(-1, p, p)
+    # K^T K, not I - (range part)^T (range part): dependent pivots stay at rounding level
+    coeffs = _echelon_factor(kernel.T @ kernel, len(kernel), tol, orthonormal=True)
+    # coeffs is real: two real products give the complex product's bytes at half its cost
+    basis = np.empty((len(coeffs), p * p), dtype=complex)
+    basis.real = coeffs @ units.real.T
+    basis.imag = coeffs @ units.imag.T
+    return basis.reshape(-1, p, p)
 
 
 def apply_complement(k: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -82,11 +88,10 @@ def selfadjoint_kernel_basis(
     """Hermitian, HS-orthonormal basis of the kernel of the complement adjoint.
 
     The kernel is closed under adjoints, so its Hermitian part has real
-    dimension kernel_dim. The basis is read off the trailing right singular
-    vectors of one real SVD of the adjoint restricted to Herm(p), written in
-    the basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2; each coefficient
-    vector's first entry above ``rel_rank_tol`` is positive. Requires a
-    trace-preserving channel.
+    dimension kernel_dim, which one real SVD of the adjoint restricted to
+    Herm(p) decides. The coefficient vectors in E_ii, (E_ij + E_ji)/sqrt2,
+    i(E_ij - E_ji)/sqrt2 are the orthonormal echelon factor of the kernel
+    projector (see :mod:`chanfact.linalg`). Requires a trace-preserving channel.
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("kernel basis requires a trace-preserving channel")

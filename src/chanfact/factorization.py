@@ -51,12 +51,6 @@ class FactorAlgebra:
     def num_factors(self) -> int:
         return len(self.factors)
 
-    def trace(self, blocks: tuple[np.ndarray, ...]) -> complex:
-        """Normalized tracial state of a block element of the algebra."""
-        return sum(
-            q * np.trace(blk) / d for (d, q), blk in zip(self.factors, blocks)
-        )
-
 
 @dataclass
 class FactorizationCertificate:

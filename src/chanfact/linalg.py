@@ -2,19 +2,22 @@
 
 Conventions used throughout the package:
 
-- ``vec`` stacks columns (column-major), so ``vec(E_12)`` in M_2 is the third
-  standard basis vector of C^4.
 - Approximate equality is Frobenius-norm based, relative to ``max(1, scale)``
   where ``scale`` is the norm of the operand.
 - Eigenvalues are returned in descending order and eigenvector phases are
   fixed deterministically: the first entry of each eigenvector whose magnitude
   exceeds ``rel_rank_tol`` is made real and nonnegative.
-- ``kron`` is left-factor major: ``kron(E_11, X)`` has ``X`` as its top-left
-  block.
+- Every basis the package prints is the echelon factor R of a PSD matrix
+  G = R* R: the in-order pivoted Cholesky of G, which takes the columns in
+  index order, skips a column whose pivot is at or below ``rel_rank_tol``
+  times G's largest diagonal entry, and makes row t zero before its pivot
+  column, where it is real and positive. This factor is unique, so it moves
+  only by rounding when G does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+_PANEL = 64
 
 
 def frob(a: np.ndarray) -> float:
@@ -83,6 +88,13 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _require_hermitian(h: np.ndarray, tol: Tolerance) -> None:
+    """Raise NotHermitian unless ``||h - h*||_F <= abs_tol * max(1, ||h||_F)``."""
+    gap = frob(h - h.conj().T)
+    if gap > tol.abs_tol * max(1.0, frob(h)):
+        raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e}")
+
+
 def eigh(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
@@ -95,9 +107,7 @@ def eigh(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     NoConvergence if the underlying solver fails.
     """
     h = _as_square(h)
-    scale = max(1.0, frob(h))
-    if frob(h - h.conj().T) > tol.abs_tol * scale:
-        raise NotHermitian(f"matrix deviates from Hermitian by {frob(h - h.conj().T):.3e}")
+    _require_hermitian(h, tol)
     try:
         w, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -147,20 +157,12 @@ def _factor_from_eigh(w: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarra
     return np.sqrt(w[:r])[:, None] * q[:, :r].conj().T
 
 
-def rank_tol(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above ``rel_rank_tol`` times the largest."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    return spectral_rank(np.linalg.svd(m, compute_uv=False), tol)
-
-
 def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count of |values| above ``rel_rank_tol`` times the largest |value|.
 
-    On singular values this is ``rank_tol``; on the eigenvalues of a
-    Hermitian matrix, whose moduli are its singular values, it gives the
-    same rank without a second decomposition.
+    On the eigenvalues of a Hermitian matrix, whose moduli are its singular
+    values, this is the rank on singular values without a second
+    decomposition.
     """
     a = np.abs(np.asarray(values))
     if a.size == 0:
@@ -169,11 +171,6 @@ def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     if top <= 0.0:
         return 0
     return int(np.sum(a > tol.rel_rank_tol * top))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor major."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -194,28 +191,55 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def vec(k: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {k.shape}")
-    return k.reshape(-1, order="F")
+def _echelon_factor(
+    g: np.ndarray, rank: int, tol: Tolerance, orthonormal: bool = False
+) -> np.ndarray:
+    """The echelon factor R (rank x n) of a PSD matrix g = R* R; see the module docstring.
 
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for the given target shape."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of length {v.size} cannot fill {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    ``rank`` is the rank the caller decided from a spectrum; another count of
+    kept pivots raises NoConvergence. With ``orthonormal`` (g is a projector),
+    R <- U^-1 R with R R* = U U*, U upper triangular, restores the
+    orthonormality that small pivots cost and keeps the echelon form.
+    """
+    n = len(g)
+    if rank == 0:
+        return np.zeros((0, n), dtype=g.dtype)
+    cut = tol.rel_rank_tol * g.diagonal().real.max()
+    r = np.zeros((n, n), dtype=g.dtype)
+    kept = 0
+    for start in range(0, n, _PANEL):
+        first, panel = kept, slice(start, start + _PANEL)
+        rows = g[panel, start:] - r[:first, panel].conj().T @ r[:first, start:]
+        width = len(rows)
+        # the panel's square block is updated per kept row, a row's tail once it is kept
+        for i, row in enumerate(rows):
+            if row[i].real > cut:
+                j, root = start + i, math.sqrt(row[i].real)
+                if start + width < n:
+                    row[width:] -= r[first:kept, j].conj() @ r[first:kept, start + width :]
+                r[kept, j:] = row[i:] / root
+                r[kept, j] = root
+                x = r[kept, j + 1 : start + width]
+                rows[i + 1 :, i + 1 : width] -= x[:, None].conj() * x
+                kept += 1
+    if kept != rank:
+        raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
+    r = r[:rank]
+    if orthonormal:
+        u = np.linalg.cholesky((r @ r.conj().T)[::-1, ::-1])[::-1, ::-1]
+        for stop in range(rank, 0, -_PANEL):  # r <- u^-1 r, one panel of rows at a time
+            block = slice(max(stop - _PANEL, 0), stop)
+            r[block] = np.linalg.solve(u[block, block], r[block] - u[block, stop:] @ r[stop:])
+    return r
 
 
 def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Complete an isometry ``v`` (N x c, v* v = I_c) to an N x N unitary.
 
-    The added columns come from Gram-Schmidt of the standard basis vectors
-    against range(v), taken in index order and skipping dependents, so the
-    completion is deterministic. The first c columns of the result equal ``v``.
+    The added columns are R* for the orthonormal echelon factor R of
+    I - v v*: in exact arithmetic, the Gram-Schmidt of the standard basis
+    vectors against range(v), taken in index order and skipping dependents.
+    The first c columns of the result equal ``v``.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
@@ -225,25 +249,5 @@ def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     defect = frob(v.conj().T @ v - np.eye(c))
     if defect > tol.abs_tol * scale:
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e}")
-    cols = [np.array(v[:, j]) for j in range(c)]
-    drop = max(tol.abs_tol, 1e-12)
-    for i in range(n):
-        if len(cols) == n:
-            break
-        x = np.zeros(n, dtype=complex)
-        x[i] = 1.0
-        for col in cols:
-            x = x - np.vdot(col, x) * col
-        norm = np.linalg.norm(x)
-        if norm <= drop:
-            continue
-        x = x / norm
-        # second orthogonalization pass keeps the completion unitary to
-        # machine precision even when the first residual was small
-        for col in cols:
-            x = x - np.vdot(col, x) * col
-        x = x / np.linalg.norm(x)
-        cols.append(x)
-    if len(cols) != n:
-        raise NoConvergence("failed to complete isometry to a unitary")
-    return np.column_stack(cols)
+    rest = _echelon_factor(np.eye(n) - v @ v.conj().T, n - c, tol, orthonormal=True)
+    return np.hstack([v, rest.conj().T])

@@ -26,8 +26,8 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, eigh, frob, rank_tol, spectral_rank
-from .linalg import _factor_from_eigh, _factor_rank, _psd_floor, _stack
+from .linalg import DEFAULT_TOL, Tolerance, _stack, eigh, frob, spectral_rank
+from .linalg import _echelon_factor, _factor_from_eigh, _factor_rank, _psd_floor, _require_hermitian
 
 
 @dataclass
@@ -101,20 +101,22 @@ def extract_blocks(
     """Factor L_Z(A) = V* V with V of k rows and return its k x k column blocks.
 
     The blocks reproduce the pencil value through sum_ij E_ij (x) V_i* V_j.
-    Raises NotPSD for infeasible points and RankTooHigh when the pencil value
-    has rank above k. The PSD flag, the rank and the factor all come from one
-    eigendecomposition of the pencil value.
+    Raises NotHermitian or NotPSD for a non-Hermitian or infeasible pencil
+    value and RankTooHigh when its rank is above k. Its eigenvalues give the
+    PSD flag and the rank; the rows of V are its echelon factor (see
+    :mod:`chanfact.linalg`), padded with zero rows to k.
     """
     value = lmi_eval(s, point)
-    w, q = eigh(value, tol)
-    if w[-1] < _psd_floor(value, tol):
+    _require_hermitian(value, tol)
+    w = np.linalg.eigvalsh(value)
+    if w[0] < _psd_floor(value, tol):
         raise NotPSD("pencil value is not positive semidefinite")
     k = point.k
-    b = _factor_from_eigh(w, q, tol)
-    if b.shape[0] > k:
-        raise RankTooHigh(f"pencil value has rank {b.shape[0]} > {k}")
+    rank = _factor_rank(w, tol)
+    if rank > k:
+        raise RankTooHigh(f"pencil value has rank {rank} > {k}")
     v = np.zeros((k, s.p * k), dtype=complex)
-    v[: b.shape[0], :] = b
+    v[:rank] = _echelon_factor(value, rank, tol)
     return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
 
 
@@ -137,7 +139,7 @@ def point_from_blocks(
     if s.d:
         flat = s.z.reshape(s.d, s.p * s.p)
         gzz = (flat.conj() @ flat.T).real
-        rank = rank_tol(gzz, tol)
+        rank = spectral_rank(np.linalg.eigvalsh(gzz), tol)
         if rank < s.d:
             raise DependentBasis(f"basis Gram matrix has rank {rank} < d={s.d}")
         resid = (g - np.eye(s.p * k)).reshape(s.p, k, s.p, k)

@@ -1,4 +1,5 @@
-"""Seeded random generators and loop references shared by the test modules."""
+"""Seeded random generators, matrix utilities (kron, vec, unvec, rank_tol) and
+loop references shared by the test modules."""
 
 import json
 import math
@@ -9,11 +10,51 @@ from chanfact import (
     DEFAULT_TOL,
     DimensionMismatch,
     KrausChannel,
+    NoConvergence,
     NotHermitian,
+    NotPSD,
+    RankTooHigh,
     SchemaError,
+    eigh,
     frob,
-    kron,
+    lmi_eval,
 )
+from chanfact.complement import _hermitian_units, _kraus_products
+from chanfact.linalg import _factor_from_eigh, _psd_floor, spectral_rank
+
+
+def kron(a, b):
+    """Kronecker product, left factor major: ``kron(E_11, X)`` has X as its top-left block."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def vec(k):
+    """Column-stacking vectorization: ``vec(E_12)`` in M_2 is the third basis vector of C^4."""
+    k = np.asarray(k, dtype=complex)
+    if k.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {k.shape}")
+    return k.reshape(-1, order="F")
+
+
+def unvec(v, rows, cols):
+    """Inverse of :func:`vec` for the given target shape."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != rows * cols:
+        raise DimensionMismatch(f"vector of length {v.size} cannot fill {rows}x{cols}")
+    return v.reshape((rows, cols), order="F")
+
+
+def rank_tol(m, tol=DEFAULT_TOL):
+    """Numerical rank: singular values above ``rel_rank_tol`` times the largest."""
+    m = np.asarray(m, dtype=complex)
+    if m.size == 0:
+        return 0
+    return spectral_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def algebra_trace(algebra, blocks):
+    """Normalized tracial state sum_f q_f Tr(B_f) / d_f of a block element of the algebra."""
+    return sum(q * np.trace(blk) / d for (d, q), blk in zip(algebra.factors, blocks))
 
 
 def complex_gaussian(rng, shape):
@@ -108,8 +149,9 @@ def reference_residuals(k, cert):
     orth = 0.0
     for i in range(p):
         for j in range(p):
-            inner = algebra.trace(
-                tuple(vi.conj().T @ vj for vi, vj in zip(cert.elements[i], cert.elements[j]))
+            inner = algebra_trace(
+                algebra,
+                tuple(vi.conj().T @ vj for vi, vj in zip(cert.elements[i], cert.elements[j])),
             )
             orth = max(orth, abs(inner - (1.0 if i == j else 0.0)))
     compl = 0.0
@@ -188,6 +230,67 @@ def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
         h = q[:half, j].reshape(p, p) + 1j * q[half:, j].reshape(p, p)
         basis.append((h + h.conj().T) / 2.0)
     return basis
+
+
+def reference_svd_kernel(k, tol=DEFAULT_TOL):
+    """The kernel basis as the trailing right singular vectors of the real SVD,
+    each signed so that its first entry above ``rel_rank_tol`` is positive.
+
+    The reference for the echelon factor in ``selfadjoint_kernel_basis``: the
+    same span, a basis that rounding can rotate.
+    """
+    p = k.num_kraus
+    units = _hermitian_units(p)
+    images = _kraus_products(k).reshape(p * p, -1).T @ units
+    real_map = np.vstack([images.real, images.imag])
+    _, s, vt = np.linalg.svd(real_map, full_matrices=real_map.shape[0] < p * p)
+    kernel = vt[spectral_rank(s, tol) :]
+    lead = np.argmax(np.abs(kernel) > tol.rel_rank_tol, axis=1)
+    signs = np.where(kernel[np.arange(kernel.shape[0]), lead] < 0.0, -1.0, 1.0)
+    return ((signs[:, None] * kernel) @ units.T).reshape(-1, p, p)
+
+
+def reference_eigh_blocks(s, point, tol=DEFAULT_TOL):
+    """``extract_blocks`` with V = sqrt(lambda) q* from the phase-fixed ``eigh``.
+
+    The reference for the echelon factor: the same Gram matrix V* V, rows that
+    rounding can rotate inside a degenerate eigenspace.
+    """
+    value = lmi_eval(s, point)
+    w, q = eigh(value, tol)
+    if w[-1] < _psd_floor(value, tol):
+        raise NotPSD("pencil value is not positive semidefinite")
+    k = point.k
+    b = _factor_from_eigh(w, q, tol)
+    if b.shape[0] > k:
+        raise RankTooHigh(f"pencil value has rank {b.shape[0]} > {k}")
+    v = np.zeros((k, s.p * k), dtype=complex)
+    v[: b.shape[0], :] = b
+    return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
+
+
+def reference_complete_isometry(v, drop=1e-12):
+    """Gram-Schmidt of e_1, e_2, ... against range(v), in index order, two passes
+    per kept vector, skipping residuals of norm at most ``drop``."""
+    n, c = v.shape
+    cols = [np.array(v[:, j], dtype=complex) for j in range(c)]
+    for i in range(n):
+        if len(cols) == n:
+            break
+        x = np.zeros(n, dtype=complex)
+        x[i] = 1.0
+        for col in cols:
+            x = x - np.vdot(col, x) * col
+        norm = np.linalg.norm(x)
+        if norm <= drop:
+            continue
+        x = x / norm
+        for col in cols:
+            x = x - np.vdot(col, x) * col
+        cols.append(x / np.linalg.norm(x))
+    if len(cols) != n:
+        raise NoConvergence("failed to complete isometry to a unitary")
+    return np.column_stack(cols)
 
 
 def reference_dumps(doc):

@@ -27,7 +27,6 @@ from chanfact import (
     hm_example,
     is_extreme_channel,
     kraus_from_choi,
-    kron,
     lmi_eval,
     lmi_membership,
     partial_trace,
@@ -39,6 +38,7 @@ from chanfact import (
 from helpers import (
     complex_gaussian,
     haar_unitary,
+    kron,
     random_cp_channel,
     random_hermitian,
     random_isometry,

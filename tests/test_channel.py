@@ -16,13 +16,13 @@ from chanfact import (
     convex_combine_channels,
     frob,
     kraus_from_choi,
-    kron,
     partial_trace,
     stinespring_dilation,
 )
 from helpers import (
     complex_gaussian,
     haar_unitary,
+    kron,
     random_cp_channel,
     random_hermitian,
     random_tp_channel,

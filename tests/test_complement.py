@@ -10,19 +10,20 @@ from chanfact import (
     frob,
     hm_example,
     is_extreme_channel,
-    rank_tol,
     schur_channel_from_gram,
     selfadjoint_kernel_basis,
-    vec,
 )
 from helpers import (
     complex_gaussian,
     haar_unitary,
     random_hermitian,
     random_tp_channel,
+    rank_tol,
     reference_adjoint_operator_matrix,
     reference_apply_complement,
     reference_selfadjoint_kernel_basis,
+    reference_svd_kernel,
+    vec,
 )
 
 
@@ -145,6 +146,24 @@ def test_selfadjoint_kernel_basis_matches_greedy_reference():
             c = hermitian_coefficients(h)
             assert c[np.flatnonzero(np.abs(c) > 1e-9)[0]] > 0.0, name
     assert dims["extreme"] == 0 and dims["hm"] == 3 and dims["dilation p=9"] == 72
+
+
+def test_selfadjoint_kernel_basis_is_the_echelon_form_of_the_svd_kernel():
+    rng = np.random.default_rng(28)
+    cases = [schur_channel_from_gram(hm_example().w), dephasing()]
+    cases += [dilation(rng, n, n) for n in (2, 3, 4)]
+    for k in cases:
+        basis = np.asarray(selfadjoint_kernel_basis(k))
+        reference = reference_svd_kernel(k)
+        assert basis.shape == reference.shape
+        flat = basis.reshape(len(basis), -1)
+        ref = reference.reshape(len(reference), -1)
+        assert np.abs(flat.T @ flat.conj() - ref.T @ ref.conj()).max() <= 1e-10
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max() <= 1e-13
+        coeffs = np.array([hermitian_coefficients(h) for h in basis])
+        pivots = [int(np.flatnonzero(c)[0]) for c in coeffs]
+        assert pivots == sorted(set(pivots))
+        assert all(c[j] > 0.0 for c, j in zip(coeffs, pivots))
 
 
 def test_selfadjoint_kernel_basis_requires_tp():

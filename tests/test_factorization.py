@@ -24,14 +24,15 @@ from chanfact import (
     hm_derived_point,
     hm_example,
     hm_equation_residuals,
-    kron,
     psd_factor,
     schur_channel_from_gram,
     verify_certificate,
 )
 from helpers import (
+    algebra_trace,
     complex_gaussian,
     haar_unitary,
+    kron,
     random_hermitian,
     reference_factor_gram,
     reference_residuals,
@@ -59,7 +60,7 @@ def test_factor_algebra_validation():
 
 def test_factor_algebra_trace():
     algebra = FactorAlgebra(((2, 0.5), (1, 0.5)))
-    value = algebra.trace((np.eye(2, dtype=complex), np.array([[3.0 + 0j]])))
+    value = algebra_trace(algebra, (np.eye(2, dtype=complex), np.array([[3.0 + 0j]])))
     assert value == pytest.approx(2.0)
 
 

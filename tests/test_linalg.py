@@ -5,25 +5,28 @@ from chanfact import (
     DimensionMismatch,
     NotHermitian,
     NotIsometry,
+    NoConvergence,
     NotPSD,
     Tolerance,
     complete_isometry,
     eigh,
     frob,
-    kron,
     partial_trace,
     psd_factor,
-    rank_tol,
-    unvec,
-    vec,
 )
-from chanfact.linalg import spectral_rank
+from chanfact.linalg import _echelon_factor, spectral_rank
 from helpers import (
     complex_gaussian,
+    kron,
     random_hermitian,
     random_isometry,
     random_psd,
+    random_tp_channel,
+    rank_tol,
+    reference_complete_isometry,
     reference_eigh,
+    unvec,
+    vec,
 )
 
 
@@ -170,3 +173,72 @@ def test_eigh_is_bitwise_equal_to_phase_loop_reference():
             w_ref, q_ref = reference_eigh(h, tol)
             assert np.array_equal(w, w_ref)
             assert q.dtype == q_ref.dtype and q.tobytes() == q_ref.tobytes()
+
+
+def assert_echelon(r):
+    """Row t is zero before its pivot column, real and positive there, and the
+    pivot columns increase."""
+    pivots = [int(np.flatnonzero(row)[0]) for row in r]
+    assert pivots == sorted(set(pivots))
+    for row, c in zip(r, pivots):
+        assert row[c].imag == 0.0 and row[c].real > 0.0
+    return pivots
+
+
+def test_echelon_factor_reproduces_psd_matrix():
+    rng = np.random.default_rng(72)
+    for n, rows in ((1, 1), (4, 2), (6, 6), (9, 3), (40, 7), (150, 100)):
+        b = complex_gaussian(rng, (rows, n))
+        b[:, 1 : min(3, n)] = 0.0  # zero columns must be skipped
+        g = b.conj().T @ b
+        rank = rank_tol(g)
+        r = _echelon_factor(g, rank, Tolerance())
+        assert r.shape == (rank, n)
+        assert_echelon(r)
+        assert frob(r.conj().T @ r - g) <= 1e-11 * frob(g)
+
+
+def test_echelon_factor_of_projector_is_orthonormal():
+    rng = np.random.default_rng(73)
+    for n, rank in ((5, 2), (64, 30), (200, 131)):
+        q = random_isometry(rng, n, rank)
+        q[:3] *= 1e-4  # small leading pivots cost the Cholesky its orthonormality
+        q, _ = np.linalg.qr(q)
+        r = _echelon_factor(q @ q.conj().T, rank, Tolerance(), orthonormal=True)
+        assert_echelon(r)
+        assert np.abs(r @ r.conj().T - np.eye(rank)).max() <= 1e-13
+        assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-12
+
+
+def test_echelon_factor_row_count_is_the_decided_rank():
+    rng = np.random.default_rng(74)
+    b = complex_gaussian(rng, (3, 8))
+    g = b.conj().T @ b
+    for wrong in (2, 4):
+        with pytest.raises(NoConvergence):
+            _echelon_factor(g, wrong, Tolerance())
+    assert _echelon_factor(g, 0, Tolerance()).shape == (0, 8)
+
+
+def test_complete_isometry_matches_gram_schmidt_loop():
+    rng = np.random.default_rng(75)
+    cases = [random_isometry(rng, n, c) for n, c in ((2, 1), (6, 2), (30, 5), (144, 12))]
+    for n, p in ((3, 4), (4, 4), (6, 6), (16, 16)):
+        k = random_tp_channel(rng, n, p)
+        cases.append(k.operators.transpose(1, 0, 2).reshape(n * p, n))
+    e = np.zeros((9, 3), dtype=complex)
+    e[[0, 4, 8], [0, 1, 2]] = 1.0  # columns of the identity: exact zero pivots
+    cases.append(e)
+    for v in cases:
+        u = complete_isometry(v)
+        assert np.abs(u - reference_complete_isometry(v)).max() <= 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(len(v))).max() <= 1e-12
+
+
+def test_complete_isometry_at_large_abs_tol():
+    # abs_tol bounds only the isometry test, not the completion's skip cut
+    k = random_tp_channel(np.random.default_rng(1), 3, 4)
+    v = k.operators.transpose(1, 0, 2).reshape(12, 3)
+    u = complete_isometry(v, Tolerance(abs_tol=0.7))
+    assert np.array_equal(u[:, :3], v)
+    assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-12

@@ -13,21 +13,28 @@ from chanfact import (
     RankTooHigh,
     apply_channel,
     build_lmi,
+    dilation_certificate,
     channel_checks,
     extract_blocks,
     face_channel,
     frob,
     hm_derived_point,
     hm_example,
-    kron,
     lmi_eval,
     lmi_membership,
     point_from_blocks,
     psd_factor,
-    rank_tol,
     schur_channel_from_gram,
 )
-from helpers import random_hermitian, random_tp_channel, reference_lmi_eval
+from helpers import (
+    haar_unitary,
+    kron,
+    random_hermitian,
+    random_tp_channel,
+    rank_tol,
+    reference_eigh_blocks,
+    reference_lmi_eval,
+)
 
 
 def scalar_system():
@@ -113,6 +120,29 @@ def test_hm_membership_and_blocks():
             e[i, j] = 1.0
             rebuilt += kron(e, blocks[i].conj().T @ blocks[j])
     assert frob(rebuilt - value) < 1e-9
+
+
+def dilation_solution(rng, n, k):
+    """LMI system of a Haar dilation channel and its level-k point from the
+    certificate blocks sqrt(k) E_ab; the pencil value has eigenvalue k^2 k times."""
+    channel, cert = dilation_certificate(haar_unitary(rng, n * k), n, k)
+    system = build_lmi(channel)
+    return system, point_from_blocks(system, [element[0] for element in cert.elements])
+
+
+def test_extract_blocks_factor_the_eigh_reference_gram():
+    rng = np.random.default_rng(58)
+    _, hm_system, hm_point = hm_setup()
+    cases = [(hm_system, hm_point), (scalar_system(), LmiPoint(1, (np.array([[-1.0]]),)))]
+    cases += [dilation_solution(rng, n, n) for n in (2, 3, 4)]
+    for system, point in cases:
+        v = np.hstack(extract_blocks(system, point))
+        ref = np.hstack(reference_eigh_blocks(system, point))
+        assert np.abs(v.conj().T @ v - ref.conj().T @ ref).max() <= 1e-10
+        kept = v[np.abs(v).max(axis=1) > 0.0]
+        pivots = [int(np.flatnonzero(row)[0]) for row in kept]
+        assert pivots == sorted(set(pivots))
+        assert all(row[j].imag == 0.0 and row[j].real > 0.0 for row, j in zip(kept, pivots))
 
 
 def test_membership_rank_equals_rank_tol_of_pencil_value():

@@ -1,5 +1,9 @@
 """Hypothesis properties over random inputs."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from chanfact import (  # noqa: E402
     correlation_from_gram,
     apply_channel,
     choi_from_kraus,
+    dilation_certificate,
     extract_blocks,
     frob,
     gram_from_correlation,
@@ -24,11 +29,10 @@ from chanfact import (  # noqa: E402
     hm_example,
     is_extreme_channel,
     kraus_from_choi,
-    kron,
     lmi_eval,
     lmi_membership,
     partial_trace,
-    rank_tol,
+    point_from_blocks,
     schur_channel,
     schur_channel_from_gram,
     schur_complement_adjoint_apply,
@@ -36,7 +40,7 @@ from chanfact import (  # noqa: E402
     selfadjoint_kernel_basis,
     stinespring_dilation,
 )
-from helpers import haar_unitary, random_hermitian, random_tp_channel  # noqa: E402
+from helpers import haar_unitary, kron, random_hermitian, random_tp_channel, rank_tol  # noqa: E402
 
 HM_SYSTEM = LmiSystem(3, hm_example().z)
 HM_POINT = np.asarray(hm_derived_point())
@@ -191,3 +195,62 @@ def test_unitary_mixing_keeps_choi_and_kernel_dimension(case):
     d = len(selfadjoint_kernel_basis(channel))
     assert len(selfadjoint_kernel_basis(mixed)) == d
     event(f"d = {d}")
+
+
+def near_identity_unitary(rng, p):
+    """exp(iH) for a random Hermitian H of spectral norm 1e-14."""
+    w, q = np.linalg.eigh(random_hermitian(rng, p))
+    return (q * np.exp(1e-14j * w / np.abs(w).max())) @ q.conj().T
+
+
+def largest_move(a, b):
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1))
+def test_rounding_level_changes_move_printed_bases_by_rounding(n, seed):
+    # a Haar dilation channel on M_n with k = n: p = 9 or 16; the kernel and
+    # the k = 4 pencil eigenvalue k^2 are degenerate, so only a canonical
+    # basis keeps these moves at rounding level
+    rng = np.random.default_rng(seed)
+    channel, cert = dilation_certificate(haar_unitary(rng, n * n), n, n)
+    mixed = KrausChannel(np.tensordot(near_identity_unitary(rng, n * n), channel.operators, 1))
+    kernel = selfadjoint_kernel_basis(channel)
+    assert largest_move(kernel, selfadjoint_kernel_basis(mixed)) < 1e-10
+    assert largest_move(stinespring_dilation(channel)[0], stinespring_dilation(mixed)[0]) < 1e-10
+    if n == 4:
+        system = LmiSystem(n * n, kernel)
+        point = point_from_blocks(system, [element[0] for element in cert.elements])
+        noise = np.array([random_hermitian(rng, n) for _ in range(system.d)])
+        nudged = LmiPoint(n, point.a + 1e-15 * noise / np.abs(noise).max())
+        assert largest_move(extract_blocks(system, point), extract_blocks(system, nudged)) < 1e-10
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_property_that_fails(x):
+    assert x < 0
+
+
+def test_after_the_failure():
+    pass
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # under the repository's warning filters a failing property must print its
+    # falsifying example and leave the later tests running
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_failing.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "Falsifying example" in run.stdout, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
