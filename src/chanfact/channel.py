@@ -82,8 +82,10 @@ def choi_from_kraus(k: KrausChannel) -> ChoiMatrix:
 def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     """Recover a canonical Kraus family from a PSD Choi matrix.
 
-    The operators are the scaled eigenvectors of the Choi matrix, so the
-    family is minimal (one operator per nonzero eigenvalue) and deterministic.
+    The operators are the rows of the Choi matrix's echelon factor (see
+    :func:`~chanfact.linalg.psd_factor`), so the family is minimal (one
+    operator per nonzero eigenvalue) and moves only by rounding when the
+    Choi matrix does.
     Raises NotPSD when the matrix is not positive semidefinite, which signals
     that the map is not completely positive.
     """

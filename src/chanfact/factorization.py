@@ -21,7 +21,7 @@ from .channel import (
 )
 from .complement import _kraus_products
 from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
-from .linalg import DEFAULT_TOL, Tolerance, _factor_from_eigh, eigh, frob
+from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -219,11 +219,13 @@ def decompose_by_factors(
 ) -> list[FactorComponent]:
     """Split a channel along the factors of its certificate's algebra.
 
-    For factor k the p x p Gram matrix Q_k* Q_k = (id (x) tau)(sum E_ij (x)
-    V_i* V_j) is factored; the component channel has Kraus operators
-    sum_j (Q_k)_mj K_j and a single-factor certificate with elements
-    transferred through the pseudoinverse of Q_k. The weighted Gram matrices
-    sum to I_p and the weighted Choi matrices sum to the input's.
+    For factor k, Q_k is the echelon factor of the p x p Gram matrix
+    Q_k* Q_k = (id (x) tau)(sum E_ij (x) V_i* V_j); the component channel has
+    Kraus operators sum_j (Q_k)_mj K_j and a single-factor certificate with
+    elements transferred through the pseudoinverse of Q_k, which has full row
+    rank: with Q_k* = W R (W orthonormal columns, R triangular) it is W R^-*,
+    whose conditioning is that of Q_k, not of its Gram matrix. The weighted
+    Gram matrices sum to I_p and the weighted Choi matrices sum to the input's.
     """
     report, traces = _verify(k, cert, tol)
     if not report.passed:
@@ -231,13 +233,12 @@ def decompose_by_factors(
     components = []
     for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, _block_stacks(cert))):
         gram = traces[f] / d
-        # a Gram matrix, so PSD; Q_k = sqrt(lambda) q* has pseudoinverse q / sqrt(lambda)
-        w, vecs = eigh(gram, tol)
-        qmat = _factor_from_eigh(w, vecs, tol)
-        r = qmat.shape[0]
-        if r == 0:
+        qmat = psd_factor(gram, tol)
+        if not len(qmat):
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
-        elements = tuple((e,) for e in np.tensordot(vecs[:, :r] / np.sqrt(w[:r]), blocks, (0, 0)))
+        w, r = np.linalg.qr(qmat.conj().T)
+        pinv = np.linalg.solve(r, w.conj().T).conj().T
+        elements = tuple((e,) for e in np.tensordot(pinv, blocks, (0, 0)))
         sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
         channel = KrausChannel(np.tensordot(qmat, k.operators, 1))
         components.append(FactorComponent(q, channel, sub_cert, gram))

@@ -4,15 +4,13 @@ Conventions used throughout the package:
 
 - Approximate equality is Frobenius-norm based, relative to ``max(1, scale)``
   where ``scale`` is the norm of the operand.
-- Eigenvalues are returned in descending order and eigenvector phases are
-  fixed deterministically: the first entry of each eigenvector whose magnitude
-  exceeds ``rel_rank_tol`` is made real and nonnegative.
-- Every basis the package prints is the echelon factor R of a PSD matrix
-  G = R* R: the in-order pivoted Cholesky of G, which takes the columns in
-  index order, skips a column whose pivot is at or below ``rel_rank_tol``
-  times G's largest diagonal entry, and makes row t zero before its pivot
-  column, where it is real and positive. This factor is unique, so it moves
-  only by rounding when G does.
+- Every factor and basis the package prints is the echelon factor R of a PSD
+  matrix G = R* R, which :func:`psd_factor` returns: the in-order pivoted
+  Cholesky of G, which takes the columns in index order, skips a column whose
+  pivot is at or below ``rel_rank_tol`` times G's largest diagonal entry, and
+  makes row t zero before its pivot column, where it is real and positive.
+  This factor is unique, so it moves only by rounding when G does, and the
+  pivots it keeps are the rank of the factor.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ class Tolerance:
     """Numerical tolerance configuration.
 
     :param abs_tol: absolute Frobenius tolerance, scaled by max(1, operand norm).
-    :param rel_rank_tol: relative threshold on singular values for rank decisions.
+    :param rel_rank_tol: relative threshold for rank decisions, on singular
+        values, eigenvalues and echelon pivots.
     """
 
     abs_tol: float = 1e-9
@@ -95,49 +94,26 @@ def _require_hermitian(h: np.ndarray, tol: Tolerance) -> None:
         raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e}")
 
 
-def eigh(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The echelon factor b (rank x n) of a PSD matrix, ``p = b* @ b``.
 
-    Returns ``(w, q)`` with eigenvalues ``w`` real and descending and ``q``
-    unitary, ``h = q @ diag(w) @ q*``. Each eigenvector's phase is fixed by
-    making its first entry of magnitude above ``rel_rank_tol`` real and
-    nonnegative.
+    The rank is the number of pivots the echelon factor keeps, so b has full
+    row rank; the eigenvalues only decide whether ``p`` is PSD.
 
-    Raises NotHermitian if ``h`` is not Hermitian within tolerance, and
-    NoConvergence if the underlying solver fails.
+    Raises NotHermitian if ``p`` is not Hermitian within tolerance, NotPSD
+    when its smallest eigenvalue is below ``-abs_tol * max(1, ||p||_F)``, and
+    NoConvergence if the eigenvalue solver fails.
     """
-    h = _as_square(h)
-    _require_hermitian(h, tol)
+    p = _as_square(p)
+    _require_hermitian(p, tol)
     try:
-        w, q = np.linalg.eigh(h)
+        w = np.linalg.eigvalsh(p)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    q = np.array(q[:, order], dtype=complex)
-    mask = np.abs(q) > tol.rel_rank_tol
-    cols = np.flatnonzero(mask.any(axis=0))
-    if cols.size:
-        phase = q[np.argmax(mask[:, cols], axis=0), cols]
-        # hypot, not np.abs: the vectorised complex abs can differ from it in the last bit
-        q[:, cols] *= phase.conj() / np.hypot(phase.real, phase.imag)
-    return w, q
-
-
-def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Factor a PSD matrix as ``p = b* @ b`` with ``b`` of shape (rank, n).
-
-    Eigenvalues at or below ``rel_rank_tol * max_eigenvalue``, among them
-    tiny negative ones within the PSD tolerance, are treated as zero.
-
-    Raises NotPSD when the smallest eigenvalue is below
-    ``-abs_tol * max(1, ||p||_F)``.
-    """
-    w, q = eigh(p, tol)
     floor = _psd_floor(p, tol)
-    if w.size and w[-1] < floor:
-        raise NotPSD(f"smallest eigenvalue {w[-1]:.3e} below {floor:.3e}")
-    return _factor_from_eigh(w, q, tol)
+    if w.size and w[0] < floor:
+        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {floor:.3e}")
+    return _echelon_factor(p, None, tol)
 
 
 def _psd_floor(m: np.ndarray, tol: Tolerance) -> float:
@@ -149,12 +125,6 @@ def _factor_rank(w: np.ndarray, tol: Tolerance) -> int:
     """Rank of a matrix that passed the PSD test, from its eigenvalues: the count
     above ``rel_rank_tol * max(lambda_max, 0)``, so tolerated negative ones drop out."""
     return int(np.sum(w > tol.rel_rank_tol * w.max(initial=0.0)))
-
-
-def _factor_from_eigh(w: np.ndarray, q: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """:func:`psd_factor`'s rows sqrt(lambda) q* from :func:`eigh` output, no PSD check."""
-    r = _factor_rank(w, tol)
-    return np.sqrt(w[:r])[:, None] * q[:, :r].conj().T
 
 
 def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -192,19 +162,21 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray
 
 
 def _echelon_factor(
-    g: np.ndarray, rank: int, tol: Tolerance, orthonormal: bool = False
+    g: np.ndarray, rank: int | None, tol: Tolerance, orthonormal: bool = False
 ) -> np.ndarray:
     """The echelon factor R (rank x n) of a PSD matrix g = R* R; see the module docstring.
 
-    ``rank`` is the rank the caller decided from a spectrum; another count of
-    kept pivots raises NoConvergence. With ``orthonormal`` (g is a projector),
+    ``rank`` is None to keep every pivot above the cut, or the rank the caller
+    decided from a spectrum; then another count of kept pivots raises
+    NoConvergence. With ``orthonormal`` (g is a projector),
     R <- U^-1 R with R R* = U U*, U upper triangular, restores the
-    orthonormality that small pivots cost and keeps the echelon form.
+    orthonormality that small pivots cost and keeps the echelon form, and a
+    count off the rank is decided again by :func:`_projector_echelon`.
     """
     n = len(g)
     if rank == 0:
         return np.zeros((0, n), dtype=g.dtype)
-    cut = tol.rel_rank_tol * g.diagonal().real.max()
+    cut = tol.rel_rank_tol * g.diagonal().real.max(initial=0.0)
     r = np.zeros((n, n), dtype=g.dtype)
     kept = 0
     for start in range(0, n, _PANEL):
@@ -222,6 +194,11 @@ def _echelon_factor(
                 x = r[kept, j + 1 : start + width]
                 rows[i + 1 :, i + 1 : width] -= x[:, None].conj() * x
                 kept += 1
+    if rank is None:
+        rank = kept
+    if kept != rank and orthonormal:
+        r = _projector_echelon(g, cut)
+        kept = len(r)
     if kept != rank:
         raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
     r = r[:rank]
@@ -230,6 +207,31 @@ def _echelon_factor(
         for stop in range(rank, 0, -_PANEL):  # r <- u^-1 r, one panel of rows at a time
             block = slice(max(stop - _PANEL, 0), stop)
             r[block] = np.linalg.solve(u[block, block], r[block] - u[block, stop:] @ r[stop:])
+    return r
+
+
+def _projector_echelon(g: np.ndarray, cut: float) -> np.ndarray:
+    """Echelon rows of a projector g by the in-order Gram-Schmidt of its own columns.
+
+    g = g* g, so a column's squared residual is its pivot, with an error of
+    the order of rounding; the Cholesky's pivots err by rounding over the
+    smallest kept pivot. Columns at or below ``cut`` are skipped. Row t is
+    q_t*, its entries before the pivot, zero in exact arithmetic, set to zero.
+    """
+    q = np.zeros_like(g)
+    pivots = []
+    for j in range(len(g)):
+        x = g[:, j].copy()
+        for _ in range(2):  # a second pass restores the orthogonality the first loses
+            x -= q[: len(pivots)].T @ (q[: len(pivots)].conj() @ x)
+        norm = math.sqrt(np.vdot(x, x).real)
+        if norm * norm > cut:
+            q[len(pivots)] = x / norm
+            pivots.append(j)
+    r = q[: len(pivots)].conj()
+    for t, j in enumerate(pivots):
+        r[t, :j] = 0.0
+        r[t, j] = r[t, j].real
     return r
 
 

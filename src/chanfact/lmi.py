@@ -26,8 +26,8 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _stack, eigh, frob, spectral_rank
-from .linalg import _echelon_factor, _factor_from_eigh, _factor_rank, _psd_floor, _require_hermitian
+from .linalg import DEFAULT_TOL, Tolerance, _stack, frob, psd_factor, spectral_rank
+from .linalg import _factor_rank, _psd_floor
 
 
 @dataclass
@@ -89,7 +89,7 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     value = lmi_eval(s, point)
     w = np.linalg.eigvalsh(value)
     psd = bool(w[0] >= _psd_floor(value, tol))
-    # a PSD value's rank is the factor's; a tolerated negative eigenvalue adds nothing
+    # a tolerated negative eigenvalue adds nothing to a PSD value's rank
     rank = _factor_rank(w, tol) if psd else spectral_rank(w, tol)
     traces = tuple(np.trace(point.a, axis1=1, axis2=2).real.tolist())
     return LmiMembership(psd, rank, traces)
@@ -102,21 +102,15 @@ def extract_blocks(
 
     The blocks reproduce the pencil value through sum_ij E_ij (x) V_i* V_j.
     Raises NotHermitian or NotPSD for a non-Hermitian or infeasible pencil
-    value and RankTooHigh when its rank is above k. Its eigenvalues give the
-    PSD flag and the rank; the rows of V are its echelon factor (see
-    :mod:`chanfact.linalg`), padded with zero rows to k.
+    value and RankTooHigh when its :func:`~chanfact.linalg.psd_factor` has
+    more than k rows. The rows of V are that factor, padded with zero rows to k.
     """
-    value = lmi_eval(s, point)
-    _require_hermitian(value, tol)
-    w = np.linalg.eigvalsh(value)
-    if w[0] < _psd_floor(value, tol):
-        raise NotPSD("pencil value is not positive semidefinite")
+    b = psd_factor(lmi_eval(s, point), tol)
     k = point.k
-    rank = _factor_rank(w, tol)
-    if rank > k:
-        raise RankTooHigh(f"pencil value has rank {rank} > {k}")
+    if len(b) > k:
+        raise RankTooHigh(f"pencil value has rank {len(b)} > {k}")
     v = np.zeros((k, s.p * k), dtype=complex)
-    v[:rank] = _echelon_factor(value, rank, tol)
+    v[: len(b)] = b
     return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
 
 
@@ -161,17 +155,16 @@ def face_channel(
 ) -> KrausChannel:
     """Channel on the face selected by a scalar solution vector x.
 
-    With Q* Q = I_p + sum_i x_i Z_i the new Kraus operators are
-    sum_j q_mj K_j; numerically zero results are dropped. Raises
+    With Q the echelon factor of I_p + sum_i x_i Z_i = Q* Q, the new Kraus
+    operators are sum_j q_mj K_j; numerically zero results are dropped. Raises
     NotInSpectrahedron when the scalar pencil value is not PSD.
     """
     s = system if system is not None else build_lmi(k, tol)
     x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    value = lmi_eval(s, LmiPoint(1, x))
-    w, vecs = eigh(value, tol)
-    if w[-1] < _psd_floor(value, tol):
-        raise NotInSpectrahedron(f"scalar pencil has eigenvalue {w[-1]:.3e}")
-    q = _factor_from_eigh(w, vecs, tol)
+    try:
+        q = psd_factor(lmi_eval(s, LmiPoint(1, x)), tol)
+    except NotPSD as exc:
+        raise NotInSpectrahedron(f"scalar pencil: {exc}") from None
     ops = np.einsum("mj,jab->mab", q, k.operators)
     ops = ops[np.linalg.norm(ops, axis=(1, 2)) > tol.abs_tol]
     if not len(ops):

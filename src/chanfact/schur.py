@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KrausChannel
-from .errors import DiagonalNotOne, DimensionMismatch, NotHermitian, NotPSD
-from .linalg import DEFAULT_TOL, Tolerance, _psd_floor, _stack, frob, psd_factor, spectral_rank
+from .errors import DiagonalNotOne, DimensionMismatch
+from .linalg import DEFAULT_TOL, Tolerance, _require_hermitian, _stack, psd_factor
 
 
 @dataclass
@@ -45,19 +45,15 @@ class GramVectors:
 
 
 def validate_correlation(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
-    """Check Hermitian, PSD, and unit diagonal; report the numerical rank."""
+    """Check Hermitian, PSD, and unit diagonal; report the rank of its PSD factor."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"correlation matrix must be square, got {m.shape}")
-    if frob(m - m.conj().T) > tol.abs_tol * max(1.0, frob(m)):
-        raise NotHermitian("correlation matrix is not Hermitian within tolerance")
+    _require_hermitian(m, tol)
     diag_defect = float(np.abs(np.diag(m) - 1.0).max())
     if diag_defect > tol.abs_tol:
         raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_defect:.3e}")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < _psd_floor(m, tol):
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e}")
-    return CorrelationMatrix(m, spectral_rank(w, tol))
+    return CorrelationMatrix(m, len(psd_factor(m, tol)))
 
 
 def gram_from_correlation(c: CorrelationMatrix, tol: Tolerance = DEFAULT_TOL) -> GramVectors:

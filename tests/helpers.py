@@ -15,12 +15,11 @@ from chanfact import (
     NotPSD,
     RankTooHigh,
     SchemaError,
-    eigh,
     frob,
     lmi_eval,
 )
 from chanfact.complement import _hermitian_units, _kraus_products
-from chanfact.linalg import _factor_from_eigh, _psd_floor, spectral_rank
+from chanfact.linalg import spectral_rank
 
 
 def kron(a, b):
@@ -81,6 +80,12 @@ def random_tp_channel(rng, n, p, m=None):
     return KrausChannel(tuple(t[:, i, :] for i in range(p)))
 
 
+def amplitude_damping(g):
+    return KrausChannel(
+        (np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
+    )
+
+
 def random_cp_channel(rng, n, m, p):
     ops = tuple(complex_gaussian(rng, (m, n)) / np.sqrt(2.0 * p) for _ in range(p))
     return KrausChannel(ops)
@@ -120,7 +125,8 @@ def reference_lmi_eval(s, point):
 
 
 def reference_eigh(h, tol=DEFAULT_TOL):
-    """``linalg.eigh`` with its phase fix as a loop over the columns."""
+    """Descending eigenpairs of a Hermitian matrix, each eigenvector's first
+    entry above ``rel_rank_tol`` in modulus made real and positive."""
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, frob(h))
     if frob(h - h.conj().T) > tol.abs_tol * scale:
@@ -251,17 +257,18 @@ def reference_svd_kernel(k, tol=DEFAULT_TOL):
 
 
 def reference_eigh_blocks(s, point, tol=DEFAULT_TOL):
-    """``extract_blocks`` with V = sqrt(lambda) q* from the phase-fixed ``eigh``.
+    """``extract_blocks`` with V = sqrt(lambda) q* from :func:`reference_eigh`.
 
     The reference for the echelon factor: the same Gram matrix V* V, rows that
     rounding can rotate inside a degenerate eigenspace.
     """
     value = lmi_eval(s, point)
-    w, q = eigh(value, tol)
-    if w[-1] < _psd_floor(value, tol):
+    w, q = reference_eigh(value, tol)
+    if w[-1] < -tol.abs_tol * max(1.0, frob(value)):
         raise NotPSD("pencil value is not positive semidefinite")
     k = point.k
-    b = _factor_from_eigh(w, q, tol)
+    r = int(np.sum(w > tol.rel_rank_tol * max(w[0], 0.0)))
+    b = np.sqrt(w[:r])[:, None] * q[:, :r].conj().T
     if b.shape[0] > k:
         raise RankTooHigh(f"pencil value has rank {b.shape[0]} > {k}")
     v = np.zeros((k, s.p * k), dtype=complex)

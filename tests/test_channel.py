@@ -8,6 +8,7 @@ from chanfact import (
     NotPSD,
     NotTracePreserving,
     NotUnitary,
+    Tolerance,
     apply_adjoint,
     apply_channel,
     channel_checks,
@@ -20,6 +21,7 @@ from chanfact import (
     stinespring_dilation,
 )
 from helpers import (
+    amplitude_damping,
     complex_gaussian,
     haar_unitary,
     kron,
@@ -91,6 +93,16 @@ def test_kraus_from_choi_is_minimal():
     assert frob(choi_from_kraus(k2).matrix - choi_from_kraus(k).matrix) < 1e-12
 
 
+@pytest.mark.parametrize("g, tol", [(1.5e-9, Tolerance()), (0.15, Tolerance(rel_rank_tol=0.1))])
+def test_kraus_from_choi_keeps_a_pivot_the_eigenvalue_cut_drops(g, tol):
+    # Choi eigenvalues 2 - g and g: g is at or below rel_rank_tol * (2 - g), but
+    # the second pivot g is above rel_rank_tol times the largest diagonal entry 1
+    c = choi_from_kraus(amplitude_damping(g))
+    k = kraus_from_choi(c, tol)
+    assert k.num_kraus == 2
+    assert frob(choi_from_kraus(k).matrix - c.matrix) < 1e-15
+
+
 def test_kraus_from_choi_rejects_indefinite():
     with pytest.raises(NotPSD):
         kraus_from_choi(ChoiMatrix(1, 2, np.diag([1.0, -1.0])))
@@ -117,11 +129,7 @@ def test_channel_checks_flags():
     checks = channel_checks(dephasing())
     assert checks.trace_preserving and checks.unital and checks.completely_positive
     # amplitude damping preserves trace but is not unital
-    g = 0.3
-    damp = KrausChannel(
-        (np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]))
-    )
-    checks = channel_checks(damp)
+    checks = channel_checks(amplitude_damping(0.3))
     assert checks.trace_preserving and not checks.unital
     assert not channel_checks(random_cp_channel(rng, 2, 2, 2)).trace_preserving
 

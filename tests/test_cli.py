@@ -22,7 +22,7 @@ from chanfact import (
     schur_channel_from_gram,
 )
 from chanfact.cli import _build_parser, main
-from helpers import reference_dumps
+from helpers import amplitude_damping, reference_dumps
 
 
 def write(path, doc):
@@ -83,6 +83,16 @@ def test_choi_and_kraus_roundtrip(tmp_path, capsys):
 
     choi_path = write(tmp_path / "choi.json", doc)
     code, doc, _ = run(capsys, "kraus", "-i", choi_path)
+    assert code == 0
+    assert len(doc["kraus"]) == 2
+
+
+def test_kraus_with_a_coarse_rank_tolerance(tmp_path, capsys):
+    # amplitude damping, g = 0.15: its Choi eigenvalue g is below 0.1 * (2 - g),
+    # its pivot g above 0.1, so the echelon factor keeps both Kraus operators
+    choi = choi_from_kraus(amplitude_damping(0.15))
+    choi_path = write(tmp_path / "choi.json", jsonio.choi_to_json(choi))
+    code, doc, _ = run(capsys, "kraus", "-i", choi_path, "--rank-tol", "0.1")
     assert code == 0
     assert len(doc["kraus"]) == 2
 

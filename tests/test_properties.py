@@ -12,6 +12,7 @@ from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chanfact import (  # noqa: E402
+    FactorizationCertificate,
     GramVectors,
     KrausChannel,
     LmiPoint,
@@ -21,6 +22,8 @@ from chanfact import (  # noqa: E402
     correlation_from_gram,
     apply_channel,
     choi_from_kraus,
+    combine_certificates,
+    decompose_by_factors,
     dilation_certificate,
     extract_blocks,
     frob,
@@ -39,6 +42,7 @@ from chanfact import (  # noqa: E402
     schur_complement_apply,
     selfadjoint_kernel_basis,
     stinespring_dilation,
+    validate_correlation,
 )
 from helpers import haar_unitary, kron, random_hermitian, random_tp_channel, rank_tol  # noqa: E402
 
@@ -203,28 +207,91 @@ def near_identity_unitary(rng, p):
     return (q * np.exp(1e-14j * w / np.abs(w).max())) @ q.conj().T
 
 
+def mixed_dilation(rng, n, k):
+    """A Haar dilation channel on M_n with its M_k certificate, and the same pair
+    with the Kraus family mixed by a unitary within 1e-14 of I."""
+    channel, cert = dilation_certificate(haar_unitary(rng, n * k), n, k)
+    u = near_identity_unitary(rng, channel.num_kraus)
+    blocks = np.array([element[0] for element in cert.elements])
+    # sum_m L_m (x) W_m = sum_j K_j (x) V_j for L = u K and W = conj(u) V
+    mixed_cert = FactorizationCertificate(
+        cert.algebra, tuple((w,) for w in np.tensordot(u.conj(), blocks, 1))
+    )
+    return channel, cert, KrausChannel(np.tensordot(u, channel.operators, 1)), mixed_cert
+
+
 def largest_move(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def weyl_mixture():
+    """Equal-weight mixture of six Weyl unitaries X^a Z^b on C^3: its Choi
+    matrix has one eigenvalue, 1/2, six times."""
+    omega = np.exp(2j * np.pi / 3.0)
+    x = np.roll(np.eye(3), 1, axis=0)
+    z = np.diag(omega ** np.arange(3))
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    ops = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) for a, b in pairs]
+    return KrausChannel(np.array(ops) / np.sqrt(6.0))
+
+
+def decomposed(channel, cert):
+    """Kraus operators and certificate blocks of each component, as arrays."""
+    return [(c.channel.operators, np.array([e[0] for e in c.certificate.elements]))
+            for c in decompose_by_factors(channel, cert)]
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1))
 def test_rounding_level_changes_move_printed_bases_by_rounding(n, seed):
-    # a Haar dilation channel on M_n with k = n: p = 9 or 16; the kernel and
-    # the k = 4 pencil eigenvalue k^2 are degenerate, so only a canonical
-    # basis keeps these moves at rounding level
+    # a Haar dilation channel on M_n with k = n: p = 9 or 16; the kernel, the
+    # k = 4 pencil eigenvalue k^2, the certificate's Gram matrix I, the Weyl
+    # mixture's Choi matrix and the HM matrix are degenerate, so only a
+    # canonical factor keeps these moves at rounding level
     rng = np.random.default_rng(seed)
-    channel, cert = dilation_certificate(haar_unitary(rng, n * n), n, n)
-    mixed = KrausChannel(np.tensordot(near_identity_unitary(rng, n * n), channel.operators, 1))
+    channel, cert, mixed, mixed_cert = mixed_dilation(rng, n, n)
     kernel = selfadjoint_kernel_basis(channel)
     assert largest_move(kernel, selfadjoint_kernel_basis(mixed)) < 1e-10
     assert largest_move(stinespring_dilation(channel)[0], stinespring_dilation(mixed)[0]) < 1e-10
+    for (ops, blocks), (mixed_ops, mixed_blocks) in zip(
+        decomposed(channel, cert), decomposed(mixed, mixed_cert), strict=True
+    ):
+        assert largest_move(ops, mixed_ops) < 1e-10
+        assert largest_move(blocks, mixed_blocks) < 1e-10
+    weyl = weyl_mixture()
+    mixed_weyl = KrausChannel(np.tensordot(near_identity_unitary(rng, 6), weyl.operators, 1))
+    assert largest_move(kraus_from_choi(choi_from_kraus(weyl)).operators,
+                        kraus_from_choi(choi_from_kraus(mixed_weyl)).operators) < 1e-10
+    hm = hm_example().c.matrix
+    noise = random_hermitian(rng, 6)
+    hm_nudged = hm + 1e-15 * noise / np.abs(noise).max()
+    assert largest_move(gram_from_correlation(validate_correlation(hm)).vectors,
+                        gram_from_correlation(validate_correlation(hm_nudged)).vectors) < 1e-10
     if n == 4:
         system = LmiSystem(n * n, kernel)
         point = point_from_blocks(system, [element[0] for element in cert.elements])
         noise = np.array([random_hermitian(rng, n) for _ in range(system.d)])
         nudged = LmiPoint(n, point.a + 1e-15 * noise / np.abs(noise).max())
         assert largest_move(extract_blocks(system, point), extract_blocks(system, nudged)) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_decompose_of_combine_returns_the_inputs(n, k1, k2, t, seed):
+    # the certificate Gram matrices are I/t (+) 0 and 0 (+) I/(1-t) up to
+    # rounding, so the components are the inputs themselves, entry by entry
+    rng = np.random.default_rng(seed)
+    inputs = [mixed_dilation(rng, n, k)[2:] for k in (k1, k2)]
+    channel, cert = combine_certificates(*inputs[0], *inputs[1], t)
+    components = decompose_by_factors(channel, cert)
+    assert [c.weight for c in components] == pytest.approx([t, 1 - t], abs=1e-15)
+    total = sum(c.weight * c.gram for c in components)
+    assert frob(total - np.eye(channel.num_kraus)) <= 1e-12
+    for comp, (part, part_cert) in zip(components, inputs, strict=True):
+        assert largest_move(comp.channel.operators, part.operators) <= 1e-10
+        assert largest_move([e[0] for e in comp.certificate.elements],
+                            [e[0] for e in part_cert.elements]) <= 1e-10
 
 
 FAILING_PROPERTY = """

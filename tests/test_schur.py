@@ -6,6 +6,7 @@ from chanfact import (
     GramVectors,
     NotHermitian,
     NotPSD,
+    Tolerance,
     apply_channel,
     apply_complement,
     apply_complement_adjoint,
@@ -38,6 +39,31 @@ def test_validate_correlation_errors():
         validate_correlation(np.diag([1.0, 2.0]))
     with pytest.raises(NotPSD):
         validate_correlation(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_correlation_rank_is_the_gram_vector_count():
+    # a tolerated negative eigenvalue -7.2e-9, above rel_rank_tol * lambda_max in
+    # modulus, must not count: the rank is that of the PSD factor
+    rng = np.random.default_rng(3)
+    g = complex_gaussian(rng, (16, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    m = g @ g.conj().T
+    u = np.ones(16) / 4.0  # flat, so the diagonal moves by at most abs_tol
+    u = u - g @ np.linalg.solve(g.conj().T @ g, g.conj().T @ u)
+    u /= np.linalg.norm(u)
+    c = validate_correlation(m - 7.2e-9 * np.outer(u, u.conj()))
+    assert c.rank == gram_from_correlation(c).p == 4
+
+
+@pytest.mark.parametrize("a, tol", [(1 - 1e-9, Tolerance()), (0.92, Tolerance(rel_rank_tol=0.1))])
+def test_correlation_rank_follows_the_pivots(a, tol):
+    # eigenvalues 1 + a and 1 - a: 1 - a is at or below rel_rank_tol * (1 + a),
+    # but the second pivot 1 - a^2 is above rel_rank_tol
+    m = np.array([[1.0, a], [a, 1.0]])
+    c = validate_correlation(m, tol)
+    w = gram_from_correlation(c, tol)
+    assert c.rank == w.p == 2
+    assert frob(w.vectors.conj() @ w.vectors.T - m) < 1e-15
 
 
 def test_gram_correlation_roundtrip():
