@@ -1,8 +1,9 @@
 """Command line front end. All outputs are deterministic JSON documents.
 
 Exit codes: 0 on success (and passing checks), 1 when the input was well
-formed but a check failed (certificate rejected, matrix not PSD, ...), 2 on
-malformed input. Errors are reported on stderr as {"error": ..., "detail": ...}.
+formed but a check failed (certificate rejected, matrix not PSD, a result
+overflowed, ...), 2 on malformed input. Errors are reported on stderr as
+{"error": ..., "detail": ...}.
 """
 
 from __future__ import annotations
@@ -396,7 +397,8 @@ def main(argv: list[str] | None = None) -> int:
                     docs.append(json.load(fh))
                 except RecursionError:
                     raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
-        doc, summary, code = _HANDLERS[args.command](args, docs, tol)
+        with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite result below
+            doc, summary, code = _HANDLERS[args.command](args, docs, tol)
     except SchemaError as exc:
         _emit_error("SchemaError", str(exc))
         return 2
@@ -412,7 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     except ChanfactError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    text = jsonio.dumps(doc) + "\n"
+    try:
+        text = jsonio.dumps(doc) + "\n"
+    except ValueError as exc:  # finite input whose result overflowed: well formed, exit 1
+        _emit_error("NonFiniteResult", str(exc))
+        return 1
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

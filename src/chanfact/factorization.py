@@ -5,11 +5,13 @@ algebra N = (+)_k (M_{i_k}, q_k) holds one block V_i^(k) per Kraus index and
 factor. It is valid when the V_i are orthonormal in the normalized tracial
 state tau((+)_k A_k) = sum_k q_k Tr(A_k)/i_k and U = sum_i K_i (x) V_i is
 unitary factor by factor; equivalently, sum_ij x_ij V_j* V_i = Tr(X) I for
-every X in the range of the complementary channel.
+every X in the range of the complementary channel. Verification reads both
+off one product U_f* U_f per factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,6 @@ from .channel import (
     _dilation_blocks,
     convex_combine_channels,
 )
-from .complement import _kraus_products
 from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
 from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
@@ -91,14 +92,9 @@ class CertificateReport:
 def _block_stacks(cert: FactorizationCertificate) -> list[np.ndarray]:
     """Per factor f, the blocks V_i^(f) stacked into a p x d_f x d_f array."""
     return [
-        np.stack([element[f] for element in cert.elements])
+        np.array([element[f] for element in cert.elements])
         for f in range(cert.algebra.num_factors)
     ]
-
-
-def _gram_tensor(v: np.ndarray) -> np.ndarray:
-    """Block Gram tensor W[i, j] = V_i* V_j of stacked blocks, p x p x d x d."""
-    return np.einsum("ixa,jxb->ijab", v.conj(), v)
 
 
 def verify_certificate(
@@ -106,21 +102,20 @@ def verify_certificate(
 ) -> CertificateReport:
     """Check orthonormality, the complement-range identity, and unitarity.
 
-    With A[i, j] = K_i* K_j and the block Gram tensors W_f[i, j] = V_i* V_j,
-    the complement applied to E_ab has (i, j) entry A[j, i]_ba, so the
-    complement residual of block (a, b) in factor f is
-    sum_ij A[j, i]_ba W_f[j, i] - (sum_i A[i, i]_ba) I, and the inner
-    products tau(V_i* V_j) are the weighted traces of W_f[i, j]. The complement
-    residual is the largest Frobenius norm over (a, b, f); the unitarity
-    residual is the Frobenius norm of U_f* U_f - I over all factors together.
-    The three residuals are reported unconditionally; ``passed`` is true when
-    all of them are at most ``abs_tol``.
+    Per factor f, with U_f = sum_i K_i (x) V_i, block (b, c) of U_f* U_f is
+    sum_ij (K_i* K_j)_bc V_i* V_j, the complement identity's left-hand side at
+    X = Phi^c(E_cb), whose trace is (sum_i K_i* K_i)_bc. The complement
+    residual is the largest Frobenius norm over (b, c, f) of that block minus
+    its trace times I; the unitarity residual is the Frobenius norm of
+    U_f* U_f - I over all factors together; the inner products tau(V_i* V_j)
+    are weighted traces Tr(V_i* V_j). The three residuals are reported
+    unconditionally; ``passed`` is true when all of them are at most ``abs_tol``.
     """
     return _verify(k, cert, tol)[0]
 
 
 def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> tuple:
-    """The report, and per factor the p x p traces Tr(V_i* V_j) of the same Gram tensor."""
+    """The report, the block stacks, and per factor the p x p traces Tr(V_i* V_j)."""
     n = k.dim_in
     if k.dim_out != n:
         raise DimensionMismatch("factorization certificates require square channels")
@@ -129,28 +124,27 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
         raise DimensionMismatch(
             f"certificate has {cert.num_elements} elements for {p} Kraus operators"
         )
-    kraus_gram = _kraus_products(k)
-    defect = np.einsum("iibc->bc", kraus_gram)
-    kraus_gram = kraus_gram.reshape(p * p, n * n)
+    column = k.operators.reshape(p * n, n)
+    defect = column.conj().T @ column
 
+    stacks = _block_stacks(cert)
     inner = np.zeros((p, p), dtype=complex)
     traces = []
-    compl = 0.0
-    unit_sq = 0.0
-    for (d, q), v in zip(cert.algebra.factors, _block_stacks(cert)):
-        w = _gram_tensor(v)
-        traces.append(np.trace(w, axis1=2, axis2=3))
+    compl = unit_sq = 0.0
+    for (d, q), v in zip(cert.algebra.factors, stacks):
+        flat = v.reshape(p, d * d)
+        traces.append(flat.conj() @ flat.T)
         inner += (q / d) * traces[-1]
-        r = (kraus_gram.T @ w.reshape(p * p, d * d)).reshape(n, n, d, d)
-        r -= defect[:, :, None, None] * np.eye(d)
-        compl = max(compl, float(np.linalg.norm(r.reshape(n * n, d * d), axis=1).max()))
         u = np.einsum("iab,ixy->axby", k.operators, v).reshape(n * d, n * d)
-        unit_sq += frob(u.conj().T @ u - np.eye(n * d)) ** 2
+        gram = u.conj().T @ u
+        r = gram.reshape(n, d, n, d) - defect[:, None, :, None] * np.eye(d)[:, None, :]
+        compl = max(compl, math.sqrt((r.real**2 + r.imag**2).sum(axis=(1, 3)).max()))
+        unit_sq += frob(gram - np.eye(n * d)) ** 2
     orth = float(np.abs(inner - np.eye(p)).max())
     unit = float(np.sqrt(unit_sq))
 
     passed = max(orth, compl, unit) <= tol.abs_tol
-    return CertificateReport(orth, compl, unit, bool(passed)), traces
+    return CertificateReport(orth, compl, unit, bool(passed)), stacks, traces
 
 
 def certificate_from_point(
@@ -226,21 +220,23 @@ def decompose_by_factors(
     rank: with Q_k* = W R (W orthonormal columns, R triangular) it is W R^-*,
     whose conditioning is that of Q_k, not of its Gram matrix. The weighted
     Gram matrices sum to I_p and the weighted Choi matrices sum to the input's.
+    The block stacks and the traces Tr(V_i* V_j) come from the verify pass.
     """
-    report, traces = _verify(k, cert, tol)
+    report, stacks, traces = _verify(k, cert, tol)
     if not report.passed:
         raise CertificateInvalid("cannot decompose along a failing certificate")
+    p, n = k.num_kraus, k.dim_in
     components = []
-    for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, _block_stacks(cert))):
-        gram = traces[f] / d
+    for f, ((d, q), blocks, trace) in enumerate(zip(cert.algebra.factors, stacks, traces)):
+        gram = trace / d
         qmat = psd_factor(gram, tol)
         if not len(qmat):
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
         w, r = np.linalg.qr(qmat.conj().T)
         pinv = np.linalg.solve(r, w.conj().T).conj().T
-        elements = tuple((e,) for e in np.tensordot(pinv, blocks, (0, 0)))
+        elements = tuple((e,) for e in (pinv.T @ blocks.reshape(p, d * d)).reshape(-1, d, d))
         sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
-        channel = KrausChannel(np.tensordot(qmat, k.operators, 1))
+        channel = KrausChannel((qmat @ k.operators.reshape(p, n * n)).reshape(-1, n, n))
         components.append(FactorComponent(q, channel, sub_cert, gram))
     return components
 

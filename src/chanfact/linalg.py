@@ -87,11 +87,12 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _require_hermitian(h: np.ndarray, tol: Tolerance) -> None:
-    """Raise NotHermitian unless ``||h - h*||_F <= abs_tol * max(1, ||h||_F)``."""
-    gap = frob(h - h.conj().T)
-    if gap > tol.abs_tol * max(1.0, frob(h)):
+def _require_hermitian(h: np.ndarray, tol: Tolerance) -> float:
+    """``||h||_F``; raises NotHermitian unless ``||h - h*||_F <= abs_tol * max(1, ||h||_F)``."""
+    gap, norm = frob(h - h.conj().T), frob(h)
+    if gap > tol.abs_tol * max(1.0, norm):
         raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e}")
+    return norm
 
 
 def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -105,20 +106,20 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     NoConvergence if the eigenvalue solver fails.
     """
     p = _as_square(p)
-    _require_hermitian(p, tol)
+    norm = _require_hermitian(p, tol)
     try:
         w = np.linalg.eigvalsh(p)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    floor = _psd_floor(p, tol)
+    floor = _psd_floor(norm, tol)
     if w.size and w[0] < floor:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {floor:.3e}")
     return _echelon_factor(p, None, tol)
 
 
-def _psd_floor(m: np.ndarray, tol: Tolerance) -> float:
-    """Smallest eigenvalue a PSD matrix may show: ``-abs_tol * max(1, ||m||_F)``."""
-    return -tol.abs_tol * max(1.0, frob(m))
+def _psd_floor(norm: float, tol: Tolerance) -> float:
+    """Smallest eigenvalue a PSD matrix of Frobenius norm ``norm`` may show."""
+    return -tol.abs_tol * max(1.0, norm)
 
 
 def _factor_rank(w: np.ndarray, tol: Tolerance) -> int:
@@ -181,7 +182,9 @@ def _echelon_factor(
     kept = 0
     for start in range(0, n, _PANEL):
         first, panel = kept, slice(start, start + _PANEL)
-        rows = g[panel, start:] - r[:first, panel].conj().T @ r[:first, start:]
+        rows = g[panel, start:].copy()
+        if first:
+            rows -= r[:first, panel].conj().T @ r[:first, start:]
         width = len(rows)
         # the panel's square block is updated per kept row, a row's tail once it is kept
         for i, row in enumerate(rows):
@@ -192,7 +195,7 @@ def _echelon_factor(
                 r[kept, j:] = row[i:] / root
                 r[kept, j] = root
                 x = r[kept, j + 1 : start + width]
-                rows[i + 1 :, i + 1 : width] -= x[:, None].conj() * x
+                rows[i + 1 :, i + 1 : width] -= np.multiply.outer(x.conj(), x)
                 kept += 1
     if rank is None:
         rank = kept

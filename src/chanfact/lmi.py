@@ -88,7 +88,7 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     """PSD flag, numerical rank, and coefficient traces of the pencil value."""
     value = lmi_eval(s, point)
     w = np.linalg.eigvalsh(value)
-    psd = bool(w[0] >= _psd_floor(value, tol))
+    psd = bool(w[0] >= _psd_floor(frob(value), tol))
     # a tolerated negative eigenvalue adds nothing to a PSD value's rank
     rank = _factor_rank(w, tol) if psd else spectral_rank(w, tol)
     traces = tuple(np.trace(point.a, axis1=1, axis2=2).real.tolist())

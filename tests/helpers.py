@@ -147,7 +147,7 @@ def reference_eigh(h, tol=DEFAULT_TOL):
 def reference_residuals(k, cert):
     """Loop evaluation of the three certificate residuals, one complement call per (a, b).
 
-    The reference for the tensor contractions in ``verify_certificate``: returns
+    The reference for the Gram products in ``verify_certificate``: returns
     (orthonormality, complement, unitarity) with the same meaning.
     """
     n, p = k.dim_in, k.num_kraus

@@ -16,13 +16,14 @@ from chanfact import (
     certificate_from_point,
     channel_from_dilation,
     choi_from_kraus,
+    dilation_certificate,
     hm_derived_point,
     hm_example,
     jsonio,
     schur_channel_from_gram,
 )
 from chanfact.cli import _build_parser, main
-from helpers import amplitude_damping, reference_dumps
+from helpers import amplitude_damping, haar_unitary, reference_dumps
 
 
 def write(path, doc):
@@ -456,6 +457,30 @@ def test_domain_failure_exits_1(tmp_path, capsys):
     code, doc, err = run(capsys, "kraus", "-i", path)
     assert code == 1 and doc is None
     assert json.loads(err)["error"] == "NotPSD"
+
+
+def huge_entry_docs(where):
+    """A p=16 dilation channel and its certificate with one entry set to 1e308."""
+    channel, cert = dilation_certificate(haar_unitary(np.random.default_rng(16), 16), 4, 4)
+    docs = {"channel": jsonio.channel_to_json(channel),
+            "certificate": jsonio.certificate_to_json(cert)}
+    target = docs["channel"]["kraus"][0] if where == "kraus" else docs["certificate"]["v"][0][0]
+    target["data"][0][0] = [1e308, 0.0]
+    return docs
+
+
+@pytest.mark.parametrize("command, where", [
+    ("verify", "certificate"), ("verify", "kraus"), ("choi", "kraus"),
+])
+def test_result_that_overflows_exits_1(tmp_path, capsys, command, where):
+    # the document is well formed, but 1e308 squared overflows to a non-finite result
+    docs = huge_entry_docs(where)
+    names = ("channel", "certificate") if command == "verify" else ("channel",)
+    args = [arg for name in names for arg in ("-i", write(tmp_path / name, docs[name]))]
+    code, doc, err = run(capsys, command, *args)
+    assert code == 1 and doc is None
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NonFiniteResult"
 
 
 def test_module_entry_point(tmp_path):

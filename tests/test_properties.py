@@ -12,6 +12,7 @@ from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chanfact import (  # noqa: E402
+    FactorAlgebra,
     FactorizationCertificate,
     GramVectors,
     KrausChannel,
@@ -43,8 +44,20 @@ from chanfact import (  # noqa: E402
     selfadjoint_kernel_basis,
     stinespring_dilation,
     validate_correlation,
+    verify_certificate,
 )
-from helpers import haar_unitary, kron, random_hermitian, random_tp_channel, rank_tol  # noqa: E402
+from chanfact.factorization import _verify  # noqa: E402
+from chanfact.linalg import DEFAULT_TOL  # noqa: E402
+from helpers import (  # noqa: E402
+    complex_gaussian,
+    haar_unitary,
+    kron,
+    random_hermitian,
+    random_tp_channel,
+    rank_tol,
+    reference_factor_gram,
+    reference_residuals,
+)
 
 HM_SYSTEM = LmiSystem(3, hm_example().z)
 HM_POINT = np.asarray(hm_derived_point())
@@ -292,6 +305,89 @@ def test_decompose_of_combine_returns_the_inputs(n, k1, k2, t, seed):
         assert largest_move(comp.channel.operators, part.operators) <= 1e-10
         assert largest_move([e[0] for e in comp.certificate.elements],
                             [e[0] for e in part_cert.elements]) <= 1e-10
+
+
+def dilation_sum(rng, n, algebra):
+    """A TP channel on M_n with a valid certificate over (+)_f (M_{d_f}, q_f): the
+    sum of Haar dilation pairs, Kraus operators scaled by sqrt(q_f) and blocks by
+    1/sqrt(q_f), each block placed in its own factor."""
+    dims = [d for d, _ in algebra.factors]
+    ops, elements = [], []
+    for f, (d, q) in enumerate(algebra.factors):
+        channel, cert = dilation_certificate(haar_unitary(rng, n * d), n, d)
+        ops.extend(np.sqrt(q) * channel.operators)
+        for (v,) in cert.elements:
+            blocks = [np.zeros((e, e), dtype=complex) for e in dims]
+            blocks[f] = v / np.sqrt(q)
+            elements.append(tuple(blocks))
+    return KrausChannel(np.array(ops)), FactorizationCertificate(algebra, tuple(elements))
+
+
+@st.composite
+def channel_and_certificate(draw):
+    """A channel on M_n with a certificate over 1-3 factors of dimensions 1-3.
+
+    The elements are a valid dilation certificate, the same with one entry
+    moved, or Gaussian blocks beside a TP channel with 1-6 Kraus operators;
+    the Kraus family is scaled off trace preservation in a third of the draws.
+    """
+    n = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(dims),
+                                     max_size=len(dims))))
+    algebra = FactorAlgebra(tuple(zip(dims, weights / weights.sum())))
+    kind = draw(st.sampled_from(["dilation", "moved", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        channel = random_tp_channel(rng, n, draw(st.integers(1, 6)))
+        cert = FactorizationCertificate(algebra, tuple(
+            tuple(complex_gaussian(rng, (d, d)) for d in dims) for _ in range(channel.num_kraus)
+        ))
+    else:
+        channel, cert = dilation_sum(rng, n, algebra)
+    if kind == "moved":
+        elements = [list(element) for element in cert.elements]
+        i, f = rng.integers(channel.num_kraus), rng.integers(len(dims))
+        x, y = rng.integers(dims[f], size=2)
+        elements[i][f] = elements[i][f].copy()
+        elements[i][f][x, y] += draw(st.sampled_from([1e-6, 1e-3, 1.0])) * np.exp(2j * rng.random())
+        cert = FactorizationCertificate(algebra, tuple(map(tuple, elements)))
+    if draw(st.integers(0, 2)) == 0:
+        channel = KrausChannel(draw(st.floats(0.5, 1.5)) * channel.operators)
+    event(f"{kind}, {len(dims)} factor(s)")
+    return channel, cert
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel_and_certificate())
+def test_verify_matches_the_loop_residuals(case):
+    channel, cert = case
+    report, _, traces = _verify(channel, cert, DEFAULT_TOL)
+    got = (report.orthonormality_residual, report.complement_residual,
+           report.unitarity_residual)
+    for value, ref in zip(got, reference_residuals(channel, cert), strict=True):
+        assert abs(value - ref) <= 1e-12 * max(1.0, ref)
+    for f, (d, _) in enumerate(cert.algebra.factors):
+        ref = d * reference_factor_gram(cert, f)
+        assert np.abs(traces[f] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel_and_certificate())
+def test_complement_and_unitarity_residuals_bound_each_other(case):
+    # acceptance criterion 6: per factor, block (b, c) of U*U - I and the
+    # complement residual block differ by (sum_i K_i* K_i - I)_bc I_d, of norm
+    # at most s, which is rounding for a TP channel and bounds the scaled draws
+    channel, cert = case
+    n, factors = channel.dim_in, cert.algebra.factors
+    report = verify_certificate(channel, cert)
+    c, u = report.complement_residual, report.unitarity_residual
+    column = channel.operators.reshape(-1, n)
+    defect = np.abs(column.conj().T @ column - np.eye(n)).max()
+    s = np.sqrt(max(d for d, _ in factors)) * defect
+    rounding = 1e-12 * max(1.0, c, u, s)
+    assert c <= u + s + rounding
+    assert u <= n * np.sqrt(len(factors)) * (c + s) + rounding
 
 
 FAILING_PROPERTY = """
