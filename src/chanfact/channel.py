@@ -128,9 +128,9 @@ def channel_checks(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChannelChec
     n, m = k.dim_in, k.dim_out
     column = k.operators.reshape(-1, n)  # the K_i stacked: sum_i K_i* K_i = column* column
     row = k.operators.transpose(1, 0, 2).reshape(m, -1)  # side by side: sum_i K_i K_i* = row row*
-    tp = frob(column.conj().T @ column - np.eye(n)) <= tol.abs_tol * np.sqrt(n)
-    unital = frob(row @ row.conj().T - np.eye(m)) <= tol.abs_tol * np.sqrt(m)
-    return ChannelChecks(bool(tp), bool(unital), True)
+    tp = tol.close(frob(column.conj().T @ column - np.eye(n)), np.sqrt(n))  # ||I_n||_F
+    unital = tol.close(frob(row @ row.conj().T - np.eye(m)), np.sqrt(m))
+    return ChannelChecks(tp, unital, True)
 
 
 def stinespring_dilation(
@@ -141,11 +141,13 @@ def stinespring_dilation(
     Returns ``(u, p)`` where ``p`` is the Kraus count and ``u`` is an
     (m*p) x (m*p) unitary, in the system-major layout, satisfying
     (id (x) Tr)(u (X (x) E_11) u*) = Phi(X) for n x n inputs X embedded in
-    the top-left corner of M_m.
+    the top-left corner of M_m, so it needs n <= m.
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("stinespring_dilation requires a trace-preserving channel")
     m, n, p = k.dim_out, k.dim_in, k.num_kraus
+    if n > m:
+        raise DimensionMismatch(f"an input of dimension {n} does not embed in M_{m}")
     # sum_i K_i (x) e_i; + 0.0 turns -0.0 into +0.0 as the summed kron did
     v = k.operators.transpose(1, 0, 2).reshape(m * p, n) + 0.0
     u0 = complete_isometry(v, tol)
@@ -178,18 +180,17 @@ def _dilation_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kept indices a*k + b and stacked K_ab of a dilation unitary, in that order.
 
-    K_ab is kept when its norm exceeds ``abs_tol``; when none is, K_00 alone
-    is kept, so the channel and its certificate always share one index list.
+    K_ab is kept unless its norm is close to 0; when none is, K_00 alone is
+    kept, so the channel and its certificate always share one index list.
     """
     w = np.asarray(w, dtype=complex)
     if w.shape != (n * k, n * k):
         raise DimensionMismatch(f"dilation unitary must be {n * k}x{n * k}, got {w.shape}")
-    scale = max(1.0, frob(w))
-    if frob(w.conj().T @ w - np.eye(n * k)) > tol.abs_tol * scale:
+    if not tol.close(frob(w.conj().T @ w - np.eye(n * k)), frob(w)):
         raise NotUnitary("dilation matrix is not unitary within tolerance")
     ops = (1.0 / np.sqrt(k)) * w.reshape(n, k, n, k).transpose(1, 3, 0, 2).reshape(k * k, n, n)
-    big = np.linalg.norm(ops, axis=(1, 2)) > tol.abs_tol
-    keep = np.flatnonzero(big) if big.any() else np.zeros(1, dtype=int)
+    big = [not tol.close(x) for x in np.linalg.norm(ops, axis=(1, 2)).tolist()]
+    keep = np.flatnonzero(big) if any(big) else np.zeros(1, dtype=int)
     return keep, ops[keep]
 
 

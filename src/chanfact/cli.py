@@ -182,14 +182,14 @@ def _cmd_kernel_basis(args, docs, tol):
 def _cmd_schur(args, docs, tol):
     _need(docs, 1, "correlation")
     c = validate_correlation(jsonio.correlation_matrix_from_json(docs[0]), tol)
-    k = schur_channel(c, tol)
+    k = schur_channel(c)
     return jsonio.channel_to_json(k), f"schur: {k.num_kraus} diagonal Kraus operator(s)", 0
 
 
 def _cmd_gram(args, docs, tol):
     _need(docs, 1, "correlation")
     c = validate_correlation(jsonio.correlation_matrix_from_json(docs[0]), tol)
-    w = gram_from_correlation(c, tol)
+    w = gram_from_correlation(c)
     return jsonio.gram_to_json(w), f"gram: {w.n} vectors in C^{w.p}", 0
 
 
@@ -313,18 +313,16 @@ def _hm_verification(tol: Tolerance) -> tuple[dict, int]:
     mem = lmi_membership(system, point, tol)
     cert = certificate_from_point(channel, system, point, tol)
     report = verify_certificate(channel, cert, tol)
+    gaps = [*span_residuals, *annihilation_residuals, *equation_residuals, *map(abs, mem.traces)]
     ok = (
         hm.c.rank == 3
         and checks.trace_preserving
         and checks.unital
         and len(basis) == 3
-        and max(span_residuals) <= 1e-9
-        and max(annihilation_residuals) <= 1e-12
-        and max(equation_residuals) <= 1e-12
+        and all(map(tol.close, gaps))
         and mem.psd
         and mem.rank == 2
-        and max(abs(t) for t in mem.traces) <= 1e-12
-        and report.unitarity_residual <= 1e-8
+        and report.passed
     )
     doc = {
         "correlation_rank": hm.c.rank,

@@ -109,7 +109,7 @@ def verify_certificate(
     its trace times I; the unitarity residual is the Frobenius norm of
     U_f* U_f - I over all factors together; the inner products tau(V_i* V_j)
     are weighted traces Tr(V_i* V_j). The three residuals are reported
-    unconditionally; ``passed`` is true when all of them are at most ``abs_tol``.
+    unconditionally; ``passed`` is true when all of them are close to 0.
     """
     return _verify(k, cert, tol)[0]
 
@@ -143,8 +143,7 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
     orth = float(np.abs(inner - np.eye(p)).max())
     unit = float(np.sqrt(unit_sq))
 
-    passed = max(orth, compl, unit) <= tol.abs_tol
-    return CertificateReport(orth, compl, unit, bool(passed)), stacks, traces
+    return CertificateReport(orth, compl, unit, tol.close(max(orth, compl, unit))), stacks, traces
 
 
 def certificate_from_point(
@@ -158,7 +157,7 @@ def certificate_from_point(
     """
     blocks = extract_blocks(s, point, tol)
     trace_norm = max((abs(float(np.trace(ai).real)) for ai in point.a), default=0.0)
-    if trace_norm > tol.abs_tol:
+    if not tol.close(trace_norm):
         raise TraceNotZero(f"coefficient traces reach {trace_norm:.3e}")
     algebra = FactorAlgebra(((point.k, 1.0),))
     return FactorizationCertificate(algebra, tuple((blk,) for blk in blocks))
@@ -265,7 +264,7 @@ def extremality_check(
 
     A candidate is consistent with extremality when it is outside the
     solution set, has rank above its level k, or has all coefficient traces
-    at most abs_tol. This is evidence over the supplied candidates only, not
+    close to 0. This is evidence over the supplied candidates only, not
     a decision procedure for extremality.
     """
     del k  # the channel fixes the system; kept for signature symmetry
@@ -273,10 +272,8 @@ def extremality_check(
     for point in candidates:
         mem = lmi_membership(s, point, tol)
         trace_norm = max((abs(t) for t in mem.traces), default=0.0)
-        consistent = (not mem.psd) or (mem.rank > point.k) or (trace_norm <= tol.abs_tol)
-        reports.append(
-            CandidateReport(mem.psd, mem.rank, float(trace_norm), bool(consistent))
-        )
+        consistent = (not mem.psd) or (mem.rank > point.k) or tol.close(trace_norm)
+        reports.append(CandidateReport(mem.psd, mem.rank, float(trace_norm), consistent))
     return ExtremalityReport(
         tuple(reports), all(r.consistent_with_extremality for r in reports)
     )

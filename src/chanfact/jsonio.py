@@ -257,12 +257,12 @@ def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> np.ndarray:
     if all(m.shape == (size, size) for m in mats):
         stack = np.array(mats, dtype=complex).reshape(-1, size, size)
         dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-        if np.all(dev <= tol.abs_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
+        if all(map(tol.close, dev.tolist(), np.linalg.norm(stack, axis=(1, 2)).tolist())):
             return stack
     for i, m in enumerate(mats):
         if m.shape != (size, size):
             raise SchemaError(f"{where}[{i}]: expected shape {(size, size)}")
-        if np.linalg.norm(m - m.conj().T) > tol.abs_tol * max(1.0, np.linalg.norm(m)):
+        if not tol.close(np.linalg.norm(m - m.conj().T), np.linalg.norm(m)):
             raise SchemaError(f"{where}[{i}]: must be Hermitian")
     return stack
 

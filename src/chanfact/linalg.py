@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-- Approximate equality is Frobenius-norm based, relative to ``max(1, scale)``
-  where ``scale`` is the norm of the operand.
+- Every tolerance decision is :meth:`Tolerance.close`, every rank decision
+  :func:`spectral_rank` on a spectrum or the echelon pivot cut.
 - Every factor and basis the package prints is the echelon factor R of a PSD
   matrix G = R* R, which :func:`psd_factor` returns: the in-order pivoted
   Cholesky of G, which takes the columns in index order, skips a column whose
@@ -31,9 +31,15 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerance configuration.
+    """Numerical tolerance configuration; no module but this one reads its fields.
 
-    :param abs_tol: absolute Frobenius tolerance, scaled by max(1, operand norm).
+    :param abs_tol: absolute tolerance of :meth:`close`. Its decisions, as
+        (gap, scale) in Frobenius norms: Hermitian (||h - h*||, ||h||), PSD
+        (-lambda_min(h), ||h||), isometry and unitarity (||v* v - I||, ||v||),
+        trace preservation and unitality (||sum K_i* K_i - I||, ||I||), span
+        (projection residual of G, ||G||); and at scale 1 dropped Kraus
+        operators, certificate residuals, coefficient traces, a correlation
+        diagonal's distance from 1 and the worked example's residuals.
     :param rel_rank_tol: relative threshold for rank decisions, on singular
         values, eigenvalues and echelon pivots.
     """
@@ -46,6 +52,10 @@ class Tolerance:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+    def close(self, gap: float, scale: float = 1.0) -> bool:
+        """``gap <= abs_tol * max(1, scale)`` as a Python bool; a NaN gap is never close."""
+        return bool(gap <= self.abs_tol * max(1.0, scale))
 
 
 DEFAULT_TOL = Tolerance()
@@ -88,9 +98,9 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def _require_hermitian(h: np.ndarray, tol: Tolerance) -> float:
-    """``||h||_F``; raises NotHermitian unless ``||h - h*||_F <= abs_tol * max(1, ||h||_F)``."""
+    """``||h||_F``; raises NotHermitian unless ``||h - h*||_F`` is close to 0 at that scale."""
     gap, norm = frob(h - h.conj().T), frob(h)
-    if gap > tol.abs_tol * max(1.0, norm):
+    if not tol.close(gap, norm):
         raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e}")
     return norm
 
@@ -102,8 +112,8 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     row rank; the eigenvalues only decide whether ``p`` is PSD.
 
     Raises NotHermitian if ``p`` is not Hermitian within tolerance, NotPSD
-    when its smallest eigenvalue is below ``-abs_tol * max(1, ||p||_F)``, and
-    NoConvergence if the eigenvalue solver fails.
+    unless minus its smallest eigenvalue is close to 0 at scale ``||p||_F``,
+    and NoConvergence if the eigenvalue solver fails.
     """
     p = _as_square(p)
     norm = _require_hermitian(p, tol)
@@ -111,21 +121,9 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         w = np.linalg.eigvalsh(p)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    floor = _psd_floor(norm, tol)
-    if w.size and w[0] < floor:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {floor:.3e}")
+    if w.size and not tol.close(-w[0], norm):
+        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {-tol.abs_tol * max(1.0, norm):.3e}")
     return _echelon_factor(p, None, tol)
-
-
-def _psd_floor(norm: float, tol: Tolerance) -> float:
-    """Smallest eigenvalue a PSD matrix of Frobenius norm ``norm`` may show."""
-    return -tol.abs_tol * max(1.0, norm)
-
-
-def _factor_rank(w: np.ndarray, tol: Tolerance) -> int:
-    """Rank of a matrix that passed the PSD test, from its eigenvalues: the count
-    above ``rel_rank_tol * max(lambda_max, 0)``, so tolerated negative ones drop out."""
-    return int(np.sum(w > tol.rel_rank_tol * w.max(initial=0.0)))
 
 
 def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -141,7 +139,7 @@ def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     top = a.max()
     if top <= 0.0:
         return 0
-    return int(np.sum(a > tol.rel_rank_tol * top))
+    return int(np.count_nonzero(a > tol.rel_rank_tol * top))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -250,9 +248,8 @@ def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
         raise NotIsometry(f"shape {v.shape} cannot be an isometry")
     n, c = v.shape
-    scale = max(1.0, frob(v))
     defect = frob(v.conj().T @ v - np.eye(c))
-    if defect > tol.abs_tol * scale:
+    if not tol.close(defect, frob(v)):
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e}")
     rest = _echelon_factor(np.eye(n) - v @ v.conj().T, n - c, tol, orthonormal=True)
     return np.hstack([v, rest.conj().T])

@@ -27,7 +27,6 @@ from .errors import (
     RankTooHigh,
 )
 from .linalg import DEFAULT_TOL, Tolerance, _stack, frob, psd_factor, spectral_rank
-from .linalg import _factor_rank, _psd_floor
 
 
 @dataclass
@@ -88,9 +87,9 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
     """PSD flag, numerical rank, and coefficient traces of the pencil value."""
     value = lmi_eval(s, point)
     w = np.linalg.eigvalsh(value)
-    psd = bool(w[0] >= _psd_floor(frob(value), tol))
+    psd = tol.close(-w[0], frob(value))
     # a tolerated negative eigenvalue adds nothing to a PSD value's rank
-    rank = _factor_rank(w, tol) if psd else spectral_rank(w, tol)
+    rank = spectral_rank(np.maximum(w, 0.0) if psd else w, tol)
     traces = tuple(np.trace(point.a, axis1=1, axis2=2).real.tolist())
     return LmiMembership(psd, rank, traces)
 
@@ -141,9 +140,9 @@ def point_from_blocks(
         coeff = np.linalg.solve(gzz, contracted).reshape(s.d, k, k)
         a = (coeff + coeff.conj().transpose(0, 2, 1)) / 2.0
     point = LmiPoint(k, a)
-    rebuilt = lmi_eval(s, point)
-    if frob(g - rebuilt) > tol.abs_tol * max(1.0, frob(g)):
-        raise NotInSpan(f"projection residual {frob(g - rebuilt):.3e}")
+    gap = frob(g - lmi_eval(s, point))
+    if not tol.close(gap, frob(g)):
+        raise NotInSpan(f"projection residual {gap:.3e}")
     return point
 
 
@@ -166,7 +165,7 @@ def face_channel(
     except NotPSD as exc:
         raise NotInSpectrahedron(f"scalar pencil: {exc}") from None
     ops = np.einsum("mj,jab->mab", q, k.operators)
-    ops = ops[np.linalg.norm(ops, axis=(1, 2)) > tol.abs_tol]
+    ops = ops[[not tol.close(x) for x in np.linalg.norm(ops, axis=(1, 2)).tolist()]]
     if not len(ops):
         raise NotInSpectrahedron("face selection produced an empty Kraus family")
     return KrausChannel(ops)

@@ -15,15 +15,19 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import DiagonalNotOne, DimensionMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _require_hermitian, _stack, psd_factor
+from .linalg import DEFAULT_TOL, Tolerance, _stack, psd_factor
 
 
 @dataclass
 class CorrelationMatrix:
-    """A validated correlation matrix together with its numerical rank."""
+    """A validated correlation matrix C with its echelon factor b (b* b = C), one row per rank."""
 
     matrix: np.ndarray = field(repr=False)
-    rank: int = 0
+    factor: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.factor)
 
 
 @dataclass
@@ -45,25 +49,24 @@ class GramVectors:
 
 
 def validate_correlation(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
-    """Check Hermitian, PSD, and unit diagonal; report the rank of its PSD factor."""
+    """Check Hermitian, PSD, and unit diagonal; keep the PSD factor."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"correlation matrix must be square, got {m.shape}")
-    _require_hermitian(m, tol)
+    factor = psd_factor(m, tol)
     diag_defect = float(np.abs(np.diag(m) - 1.0).max())
-    if diag_defect > tol.abs_tol:
+    if not tol.close(diag_defect):
         raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_defect:.3e}")
-    return CorrelationMatrix(m, len(psd_factor(m, tol)))
+    return CorrelationMatrix(m, factor)
 
 
-def gram_from_correlation(c: CorrelationMatrix, tol: Tolerance = DEFAULT_TOL) -> GramVectors:
+def gram_from_correlation(c: CorrelationMatrix) -> GramVectors:
     """Gram vectors of a correlation matrix, living in C^rank.
 
-    The vectors are the columns of the PSD factor b (b* b = C), so they are
+    The vectors are the columns of its PSD factor b (b* b = C), so they are
     unit vectors with <w_i, w_j> = c_ij.
     """
-    b = psd_factor(c.matrix, tol)
-    return GramVectors(b.T)
+    return GramVectors(c.factor.T)
 
 
 def correlation_from_gram(w: GramVectors, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
@@ -82,9 +85,9 @@ def schur_channel_from_gram(w: GramVectors) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def schur_channel(c: CorrelationMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def schur_channel(c: CorrelationMatrix) -> KrausChannel:
     """Schur channel X -> X o C with Gram vectors derived from C."""
-    return schur_channel_from_gram(gram_from_correlation(c, tol))
+    return schur_channel_from_gram(gram_from_correlation(c))
 
 
 def schur_complement_apply(w: GramVectors, x: np.ndarray) -> np.ndarray:

@@ -167,6 +167,14 @@ def test_stinespring_requires_trace_preserving():
         stinespring_dilation(KrausChannel((np.eye(2) * 0.5,)))
 
 
+def test_stinespring_needs_the_input_to_embed_in_the_output():
+    # the trace map M_3 -> M_1 is trace preserving, but M_3 has no place in M_1
+    trace_map = KrausChannel(np.eye(3).reshape(3, 1, 3))
+    assert channel_checks(trace_map).trace_preserving
+    with pytest.raises(DimensionMismatch):
+        stinespring_dilation(trace_map)
+
+
 def test_channel_from_dilation_matches_twirl():
     rng = np.random.default_rng(17)
     for n, kk in [(2, 2), (3, 2), (2, 3)]:

@@ -20,6 +20,7 @@ from chanfact import (
     hm_derived_point,
     hm_example,
     jsonio,
+    linalg,
     schur_channel_from_gram,
 )
 from chanfact.cli import _build_parser, main
@@ -262,6 +263,29 @@ def test_example_hm_verify_passes(capsys):
     assert max(doc["annihilation_residuals"]) <= 1e-12
 
 
+def test_example_hm_verify_follows_tol(capsys):
+    # the span residual, 1.58e-15, is close to 0 at the default tolerance, not at 1e-15
+    code, doc, _ = run(capsys, "example", "hm", "--verify", "--tol", "1e-15")
+    assert code == 1 and doc["pass"] is False
+    assert 1e-15 < max(doc["span_residuals"]) <= DEFAULT_TOL.abs_tol
+
+
+@pytest.mark.parametrize("command", ["gram", "schur"])
+def test_gram_and_schur_factor_the_matrix_once(tmp_path, capsys, monkeypatch, command):
+    corr = write(tmp_path / "c.json", jsonio.correlation_to_json(hm_example().c.matrix))
+    real, calls = linalg.psd_factor, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("chanfact") and getattr(module, "psd_factor", None) is real:
+            monkeypatch.setattr(module, "psd_factor", counting)
+    code, _, _ = run(capsys, command, "-i", corr)
+    assert code == 0 and len(calls) == 1
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     ch = write(tmp_path / "deph.json", dephasing_doc())
     out1 = tmp_path / "a.json"
@@ -376,6 +400,16 @@ def test_verify_of_non_square_channel_exits_1(tmp_path, capsys):
     ct = write(tmp_path / "cert.json", jsonio.certificate_to_json(cert))
     code, doc, err = run(capsys, "verify", "-i", ch, "-i", ct)
     assert code == 1 and doc is None
+    assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+def test_dilate_of_a_channel_into_a_smaller_space_exits_1(tmp_path, capsys):
+    # the trace map M_3 -> M_1 is trace preserving, but M_3 has no place in M_1
+    trace_map = KrausChannel(np.eye(3).reshape(3, 1, 3))
+    ch = write(tmp_path / "trace.json", jsonio.channel_to_json(trace_map))
+    code, doc, err = run(capsys, "dilate", "-i", ch)
+    assert code == 1 and doc is None
+    assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "DimensionMismatch"
 
 

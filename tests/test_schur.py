@@ -61,7 +61,7 @@ def test_correlation_rank_follows_the_pivots(a, tol):
     # but the second pivot 1 - a^2 is above rel_rank_tol
     m = np.array([[1.0, a], [a, 1.0]])
     c = validate_correlation(m, tol)
-    w = gram_from_correlation(c, tol)
+    w = gram_from_correlation(c)
     assert c.rank == w.p == 2
     assert frob(w.vectors.conj() @ w.vectors.T - m) < 1e-15
 
