@@ -303,7 +303,7 @@ def _hm_verification(tol: Tolerance) -> tuple[dict, int]:
     span_residuals = []
     annihilation_residuals = []
     for z in hm.z:
-        proj = sum(np.vdot(b, z).real * b for b in basis) if basis else 0.0 * z
+        proj = sum(np.vdot(b, z).real * b for b in basis) if len(basis) else 0.0 * z
         span_residuals.append(frob(z - proj))
         annihilation_residuals.append(frob(apply_complement_adjoint(channel, z)))
     a1, a2, a3 = hm_derived_point()

@@ -22,47 +22,38 @@ def _kraus_products(k: KrausChannel) -> np.ndarray:
     return np.einsum("iab,jac->ijbc", k.operators.conj(), k.operators)
 
 
-def _hermitian_units(p: int) -> np.ndarray:
-    """p^2 x p^2 matrix whose columns are the row-major flattenings of the
-    HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)
-    of Herm(p), in that order."""
-    # np.triu_indices(p, 1), at a third of its cost
-    iu, ju = np.nonzero(np.arange(p)[:, None] < np.arange(p))
-    off = np.arange(iu.size)
-    units = np.zeros((p, p, p * p), dtype=complex)
-    units[np.arange(p), np.arange(p), np.arange(p)] = 1.0
-    units[iu, ju, p + off] = units[ju, iu, p + off] = np.sqrt(0.5)
-    units[iu, ju, p + iu.size + off] = 1j * np.sqrt(0.5)
-    units[ju, iu, p + iu.size + off] = -1j * np.sqrt(0.5)
-    return units.reshape(p * p, p * p)
-
-
 def _hermitian_kernel(k: KrausChannel, tol: Tolerance) -> np.ndarray:
     """One real SVD of the complement adjoint restricted to Herm(p).
 
-    Y -> sum_ij y_ij K_i* K_j maps Hermitian Y to Hermitian matrices, so its
-    Gram matrix in the basis of :func:`_hermitian_units` is real and the real
-    map has the singular values of the complex one: the rank, and hence the
-    kernel dimension, is that of the n^2 x p^2 operator matrix.
+    Y -> sum_ij y_ij K_i* K_j maps Hermitian Y to Hermitian matrices, so in the
+    HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)
+    of Herm(p) its Gram matrix is real and the real map has the singular values
+    of the complex one: the rank, and hence the kernel dimension, is that of the
+    n^2 x p^2 operator matrix.
 
-    Returns the d = p^2 - rank HS-orthonormal Hermitian matrices whose
-    coefficient vectors are the orthonormal echelon factor of the projector
-    onto the span of the trailing right singular vectors.
+    Returns the d = p^2 - rank HS-orthonormal Hermitian matrices, a (d, p, p)
+    array, whose coefficient vectors are the orthonormal echelon factor of the
+    projector onto the span of the trailing right singular vectors.
     """
     p = k.num_kraus
-    units = _hermitian_units(p)
-    images = _kraus_products(k).reshape(p * p, -1).T @ units
-    real_map = np.vstack([images.real, images.imag])
+    a = _kraus_products(k).reshape(p, p, -1)
+    diag = np.arange(p)
+    # np.triu_indices(p, 1), at a third of its cost
+    iu, ju = np.nonzero(diag[:, None] < diag)
+    upper, lower = a[iu, ju], a[ju, iu]
+    half = np.sqrt(0.5)
+    images = np.concatenate([a[diag, diag], half * (upper + lower), 1j * half * (upper - lower)])
+    real_map = np.hstack([images.real, images.imag]).T
     # the kernel needs all p^2 right singular vectors, also when 2n^2 < p^2
     _, s, vt = np.linalg.svd(real_map, full_matrices=real_map.shape[0] < p * p)
     kernel = vt[spectral_rank(s, tol) :]
     # K^T K, not I - (range part)^T (range part): dependent pivots stay at rounding level
-    coeffs = _echelon_factor(kernel.T @ kernel, len(kernel), tol, orthonormal=True)
-    # coeffs is real: two real products give the complex product's bytes at half its cost
-    basis = np.empty((len(coeffs), p * p), dtype=complex)
-    basis.real = coeffs @ units.real.T
-    basis.imag = coeffs @ units.imag.T
-    return basis.reshape(-1, p, p)
+    coeffs = _echelon_factor(kernel.T @ kernel, tol, len(kernel))
+    sym, anti = np.split(half * coeffs[:, p:], 2, axis=1)
+    basis = np.empty((len(coeffs), p, p), dtype=complex)
+    basis[:, diag, diag] = coeffs[:, :p]
+    basis[:, iu, ju], basis[:, ju, iu] = sym + 1j * anti, sym - 1j * anti
+    return basis
 
 
 def apply_complement(k: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -82,10 +73,8 @@ def apply_complement_adjoint(k: KrausChannel, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ijbc->bc", y, _kraus_products(k))
 
 
-def selfadjoint_kernel_basis(
-    k: KrausChannel, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Hermitian, HS-orthonormal basis of the kernel of the complement adjoint.
+def selfadjoint_kernel_basis(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian, HS-orthonormal (d, p, p) basis of the kernel of the complement adjoint.
 
     The kernel is closed under adjoints, so its Hermitian part has real
     dimension kernel_dim, which one real SVD of the adjoint restricted to
@@ -95,7 +84,7 @@ def selfadjoint_kernel_basis(
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("kernel basis requires a trace-preserving channel")
-    return list(_hermitian_kernel(k, tol))
+    return _hermitian_kernel(k, tol)
 
 
 def is_extreme_channel(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -105,4 +94,4 @@ def is_extreme_channel(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
     reports False, so pass a minimal (Choi-derived) family to test the map
     itself. Requires a trace-preserving channel.
     """
-    return not selfadjoint_kernel_basis(k, tol)
+    return len(selfadjoint_kernel_basis(k, tol)) == 0

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChoiMatrix, KrausChannel
 from .errors import SchemaError
 from .factorization import WEIGHT_SUM_TOL, FactorAlgebra, FactorizationCertificate
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, frob
 from .lmi import LmiPoint, LmiSystem
 from .schur import GramVectors
 
@@ -256,13 +256,16 @@ def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> np.ndarray:
     mats = [matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items)]
     if all(m.shape == (size, size) for m in mats):
         stack = np.array(mats, dtype=complex).reshape(-1, size, size)
-        dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-        if all(map(tol.close, dev.tolist(), np.linalg.norm(stack, axis=(1, 2)).tolist())):
+        with np.errstate(over="ignore"):
+            dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+            scale = np.linalg.norm(stack, axis=(1, 2))
+        # an overflowing scale is taken again by frob, in the walk below
+        if np.isfinite(scale).all() and all(map(tol.close, dev.tolist(), scale.tolist())):
             return stack
     for i, m in enumerate(mats):
         if m.shape != (size, size):
             raise SchemaError(f"{where}[{i}]: expected shape {(size, size)}")
-        if not tol.close(np.linalg.norm(m - m.conj().T), np.linalg.norm(m)):
+        if not tol.close(frob(m - m.conj().T), frob(m)):
             raise SchemaError(f"{where}[{i}]: must be Hermitian")
     return stack
 

@@ -64,8 +64,16 @@ _PANEL = 64
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm as a plain float. Where the squares of the entries overflow
+    (near 1e154), the moduli are divided by the largest one and it is multiplied back."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        mod = np.abs(a)
+        top = float(mod.max())
+        if math.isfinite(top):
+            norm = top * float(np.linalg.norm(mod / top))
+    return norm
 
 
 def _stack(mats, shape: tuple[int | None, ...], what: str) -> np.ndarray:
@@ -123,7 +131,7 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
     if w.size and not tol.close(-w[0], norm):
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {-tol.abs_tol * max(1.0, norm):.3e}")
-    return _echelon_factor(p, None, tol)
+    return _echelon_factor(p, tol)
 
 
 def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -160,17 +168,15 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _echelon_factor(
-    g: np.ndarray, rank: int | None, tol: Tolerance, orthonormal: bool = False
-) -> np.ndarray:
+def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
     """The echelon factor R (rank x n) of a PSD matrix g = R* R; see the module docstring.
 
-    ``rank`` is None to keep every pivot above the cut, or the rank the caller
-    decided from a spectrum; then another count of kept pivots raises
-    NoConvergence. With ``orthonormal`` (g is a projector),
-    R <- U^-1 R with R R* = U U*, U upper triangular, restores the
-    orthonormality that small pivots cost and keeps the echelon form, and a
-    count off the rank is decided again by :func:`_projector_echelon`.
+    With ``rank`` None every pivot above the cut is kept. A given ``rank``
+    means g is a projector of that rank, decided by the caller from a
+    spectrum: a count of kept pivots off the rank is decided again by
+    :func:`_projector_echelon`, and another count still raises NoConvergence;
+    then R <- U^-1 R with R R* = U U*, U upper triangular, restores the
+    orthonormality that small pivots cost and keeps the echelon form.
     """
     n = len(g)
     if rank == 0:
@@ -196,18 +202,17 @@ def _echelon_factor(
                 rows[i + 1 :, i + 1 : width] -= np.multiply.outer(x.conj(), x)
                 kept += 1
     if rank is None:
-        rank = kept
-    if kept != rank and orthonormal:
+        return r[:kept]
+    if kept != rank:
         r = _projector_echelon(g, cut)
         kept = len(r)
     if kept != rank:
         raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
     r = r[:rank]
-    if orthonormal:
-        u = np.linalg.cholesky((r @ r.conj().T)[::-1, ::-1])[::-1, ::-1]
-        for stop in range(rank, 0, -_PANEL):  # r <- u^-1 r, one panel of rows at a time
-            block = slice(max(stop - _PANEL, 0), stop)
-            r[block] = np.linalg.solve(u[block, block], r[block] - u[block, stop:] @ r[stop:])
+    u = np.linalg.cholesky((r @ r.conj().T)[::-1, ::-1])[::-1, ::-1]
+    for stop in range(rank, 0, -_PANEL):  # r <- u^-1 r, one panel of rows at a time
+        block = slice(max(stop - _PANEL, 0), stop)
+        r[block] = np.linalg.solve(u[block, block], r[block] - u[block, stop:] @ r[stop:])
     return r
 
 
@@ -251,5 +256,5 @@ def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     defect = frob(v.conj().T @ v - np.eye(c))
     if not tol.close(defect, frob(v)):
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e}")
-    rest = _echelon_factor(np.eye(n) - v @ v.conj().T, n - c, tol, orthonormal=True)
+    rest = _echelon_factor(np.eye(n) - v @ v.conj().T, tol, n - c)
     return np.hstack([v, rest.conj().T])

@@ -18,7 +18,7 @@ from chanfact import (
     frob,
     lmi_eval,
 )
-from chanfact.complement import _hermitian_units, _kraus_products
+from chanfact.complement import _kraus_products
 from chanfact.linalg import spectral_rank
 
 
@@ -238,12 +238,28 @@ def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
     return basis
 
 
+def _hermitian_units(p):
+    """p^2 x p^2 matrix whose columns are the row-major flattenings of the
+    HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)
+    of Herm(p), in that order."""
+    iu, ju = np.triu_indices(p, 1)
+    off = np.arange(iu.size)
+    units = np.zeros((p, p, p * p), dtype=complex)
+    units[np.arange(p), np.arange(p), np.arange(p)] = 1.0
+    units[iu, ju, p + off] = units[ju, iu, p + off] = np.sqrt(0.5)
+    units[iu, ju, p + iu.size + off] = 1j * np.sqrt(0.5)
+    units[ju, iu, p + iu.size + off] = -1j * np.sqrt(0.5)
+    return units.reshape(p * p, p * p)
+
+
 def reference_svd_kernel(k, tol=DEFAULT_TOL):
     """The kernel basis as the trailing right singular vectors of the real SVD,
     each signed so that its first entry above ``rel_rank_tol`` is positive.
 
-    The reference for the echelon factor in ``selfadjoint_kernel_basis``: the
-    same span, a basis that rounding can rotate.
+    The reference for the echelon factor and the index-built coordinates in
+    ``selfadjoint_kernel_basis``: the same span, a basis that rounding can
+    rotate, both changes of coordinates as dense products with
+    :func:`_hermitian_units`.
     """
     p = k.num_kraus
     units = _hermitian_units(p)

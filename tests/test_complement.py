@@ -152,14 +152,18 @@ def test_selfadjoint_kernel_basis_is_the_echelon_form_of_the_svd_kernel():
     rng = np.random.default_rng(28)
     cases = [schur_channel_from_gram(hm_example().w), dephasing()]
     cases += [dilation(rng, n, n) for n in (2, 3, 4)]
+    # the index-built coordinates at their edges: p = 1 has no off-diagonal pair
+    # (d = 0), p = 2 has one (d = 1)
+    u1, u2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    cases += [KrausChannel((u1,)), KrausChannel((np.sqrt(0.5) * u1, np.sqrt(0.5) * u2))]
     for k in cases:
-        basis = np.asarray(selfadjoint_kernel_basis(k))
+        basis = selfadjoint_kernel_basis(k)
         reference = reference_svd_kernel(k)
         assert basis.shape == reference.shape
-        flat = basis.reshape(len(basis), -1)
-        ref = reference.reshape(len(reference), -1)
+        flat = basis.reshape(len(basis), k.num_kraus**2)
+        ref = reference.reshape(len(reference), k.num_kraus**2)
         assert np.abs(flat.T @ flat.conj() - ref.T @ ref.conj()).max() <= 1e-10
-        assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max() <= 1e-13
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max(initial=0.0) <= 1e-13
         coeffs = np.array([hermitian_coefficients(h) for h in basis])
         pivots = [int(np.flatnonzero(c)[0]) for c in coeffs]
         assert pivots == sorted(set(pivots))

@@ -123,6 +123,13 @@ def test_lmi_and_point_require_hermitian_entries():
         jsonio.point_from_json({"k": 2, "a": [bad]})
 
 
+def test_hermitian_check_at_an_overflowing_scale():
+    # the squares of 1e160 overflow; an infinite scale would pass this anti-Hermitian entry
+    skew = jsonio.matrix_to_json(np.array([[0.0, 1e160], [-1e160, 0.0]]))
+    with pytest.raises(SchemaError, match=r"point\.a\[0\]: must be Hermitian"):
+        jsonio.point_from_json({"k": 2, "a": [skew]})
+
+
 def _walk_error(mats, size, where, tol):
     """The per-matrix walk the stacked check must agree with."""
     for i, m in enumerate(mats):

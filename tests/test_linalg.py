@@ -63,6 +63,14 @@ def test_psd_factor_rejects_indefinite():
         psd_factor(np.diag([1.0, -1.0]))
 
 
+def test_psd_factor_rejects_indefinite_at_an_overflowing_scale():
+    # the squares of 1e160 overflow; an infinite scale would tolerate any eigenvalue
+    big = np.diag([1e160, -1e160])
+    assert frob(big) == pytest.approx(np.sqrt(2.0) * 1e160)
+    with pytest.raises(NotPSD):
+        psd_factor(big)
+
+
 def test_rank_tol_counts_singular_values():
     rng = np.random.default_rng(5)
     a = complex_gaussian(rng, (5, 3))
@@ -151,7 +159,7 @@ def test_echelon_factor_reproduces_psd_matrix():
         b[:, 1 : min(3, n)] = 0.0  # zero columns must be skipped
         g = b.conj().T @ b
         rank = rank_tol(g)
-        r = _echelon_factor(g, rank, Tolerance())
+        r = _echelon_factor(g, Tolerance())
         assert r.shape == (rank, n)
         assert_echelon(r)
         assert frob(r.conj().T @ r - g) <= 1e-11 * frob(g)
@@ -163,7 +171,7 @@ def test_echelon_factor_of_projector_is_orthonormal():
         q = random_isometry(rng, n, rank)
         q[:3] *= 1e-4  # small leading pivots cost the Cholesky its orthonormality
         q, _ = np.linalg.qr(q)
-        r = _echelon_factor(q @ q.conj().T, rank, Tolerance(), orthonormal=True)
+        r = _echelon_factor(q @ q.conj().T, Tolerance(), rank)
         assert_echelon(r)
         assert np.abs(r @ r.conj().T - np.eye(rank)).max() <= 1e-13
         assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-12
@@ -178,7 +186,7 @@ def test_echelon_factor_of_projector_with_a_tiny_pivot():
         q = random_isometry(rng, 40, 20)
         q[1] = q[0] + 1e-4 * complex_gaussian(rng, 20)
         q, _ = np.linalg.qr(q)
-        r = _echelon_factor(q @ q.conj().T, 20, Tolerance(), orthonormal=True)
+        r = _echelon_factor(q @ q.conj().T, Tolerance(), 20)
         assert assert_echelon(r)[:2] == [0, 1]
         assert np.abs(r @ r.conj().T - np.eye(20)).max() <= 1e-13
         assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-11
@@ -186,12 +194,12 @@ def test_echelon_factor_of_projector_with_a_tiny_pivot():
 
 def test_echelon_factor_row_count_is_the_decided_rank():
     rng = np.random.default_rng(74)
-    b = complex_gaussian(rng, (3, 8))
-    g = b.conj().T @ b
+    q = random_isometry(rng, 8, 3)
+    g = q @ q.conj().T
     for wrong in (2, 4):
         with pytest.raises(NoConvergence):
-            _echelon_factor(g, wrong, Tolerance())
-    assert _echelon_factor(g, 0, Tolerance()).shape == (0, 8)
+            _echelon_factor(g, Tolerance(), wrong)
+    assert _echelon_factor(g, Tolerance(), 0).shape == (0, 8)
 
 
 def test_complete_isometry_matches_gram_schmidt_loop():

@@ -177,6 +177,14 @@ def test_tolerated_negative_eigenvalues_leave_the_rank():
     assert psd_factor(value).shape[0] == 2
 
 
+def test_membership_at_an_overflowing_scale():
+    # the pencil value at the HM point times 1e160 has lambda_min = -1e160 and
+    # entries whose squares overflow
+    _, system, point = hm_setup()
+    mem = lmi_membership(system, LmiPoint(2, 1e160 * point.a))
+    assert not mem.psd
+
+
 def test_point_from_blocks_roundtrip():
     _, system, point = hm_setup()
     blocks = extract_blocks(system, point)

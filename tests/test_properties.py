@@ -22,6 +22,7 @@ from chanfact import (  # noqa: E402
     RankTooHigh,
     correlation_from_gram,
     apply_channel,
+    channel_from_dilation,
     choi_from_kraus,
     combine_certificates,
     decompose_by_factors,
@@ -212,6 +213,26 @@ def test_unitary_mixing_keeps_choi_and_kernel_dimension(case):
     d = len(selfadjoint_kernel_basis(channel))
     assert len(selfadjoint_kernel_basis(mixed)) == d
     event(f"d = {d}")
+
+
+def kernel_projector(basis):
+    """sum_t vec(Z_t) vec(Z_t)*: the same for every HS-orthonormal basis of one span."""
+    flat = basis.reshape(len(basis), basis.shape[1] * basis.shape[2])
+    return flat.T @ flat.conj()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_kraus_mixing_acts_covariantly_on_the_kernel(n, k, seed):
+    # for L_i = sum_j u_ij K_j, sum_ij y_ij L_i* L_j = sum_ab (U* Y U)_ab K_a* K_b,
+    # so the kernel of the mixed family is U ker U*, for any unitary U
+    rng = np.random.default_rng(seed)
+    channel = channel_from_dilation(haar_unitary(rng, n * k), n, k)
+    u = haar_unitary(rng, channel.num_kraus)
+    mixed = KrausChannel(np.tensordot(u, channel.operators, 1))
+    moved = u @ selfadjoint_kernel_basis(channel) @ u.conj().T
+    got = kernel_projector(selfadjoint_kernel_basis(mixed))
+    assert np.abs(got - kernel_projector(moved)).max() <= 1e-10
 
 
 def near_identity_unitary(rng, p):
