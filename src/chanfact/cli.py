@@ -110,6 +110,19 @@ def _need_coefficients(point: LmiPoint, d: int, where: str) -> None:
         raise SchemaError(f"{where}: {len(point.a)} coefficient(s), the system needs {d}")
 
 
+def _membership_doc(mem) -> dict:
+    return {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)}
+
+
+def _report_doc(report) -> dict:
+    return {
+        "orthonormality_residual": report.orthonormality_residual,
+        "complement_residual": report.complement_residual,
+        "unitarity_residual": report.unitarity_residual,
+        "pass": report.passed,
+    }
+
+
 def _cmd_choi(args, docs, tol):
     _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
@@ -206,8 +219,7 @@ def _cmd_lmi_check(args, docs, tol):
     point = jsonio.point_from_json(docs[1], tol=tol)
     _need_coefficients(point, s.d, "point")
     mem = lmi_membership(s, point, tol)
-    doc = {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)}
-    return doc, f"lmi-check: psd={mem.psd}, rank={mem.rank}", 0 if mem.psd else 1
+    return _membership_doc(mem), f"lmi-check: psd={mem.psd}, rank={mem.rank}", 0 if mem.psd else 1
 
 
 def _cmd_extract(args, docs, tol):
@@ -225,13 +237,7 @@ def _cmd_verify(args, docs, tol):
     k = jsonio.channel_from_json(docs[0])
     cert = jsonio.certificate_from_json(docs[1])
     report = verify_certificate(k, cert, tol)
-    doc = {
-        "orthonormality_residual": report.orthonormality_residual,
-        "complement_residual": report.complement_residual,
-        "unitarity_residual": report.unitarity_residual,
-        "pass": report.passed,
-    }
-    return doc, f"verify: pass={report.passed}", 0 if report.passed else 1
+    return _report_doc(report), f"verify: pass={report.passed}", 0 if report.passed else 1
 
 
 def _cmd_combine(args, docs, tol):
@@ -332,13 +338,8 @@ def _hm_verification(tol: Tolerance) -> tuple[dict, int]:
         "span_residuals": span_residuals,
         "annihilation_residuals": annihilation_residuals,
         "equation_residuals": equation_residuals,
-        "membership": {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)},
-        "certificate": {
-            "orthonormality_residual": report.orthonormality_residual,
-            "complement_residual": report.complement_residual,
-            "unitarity_residual": report.unitarity_residual,
-            "pass": report.passed,
-        },
+        "membership": _membership_doc(mem),
+        "certificate": _report_doc(report),
         "pass": ok,
     }
     return doc, 0 if ok else 1

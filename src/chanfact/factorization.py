@@ -38,11 +38,11 @@ class FactorAlgebra:
         factors = tuple((int(d), float(q)) for d, q in self.factors)
         if not factors:
             raise DimensionMismatch("algebra needs at least one factor")
-        for d, q in factors:
+        for f, (d, q) in enumerate(factors):
             if d < 1:
-                raise DimensionMismatch(f"factor dimension must be positive, got {d}")
+                raise DimensionMismatch(f"factor {f}: dimension must be positive, got {d}")
             if not np.isfinite(q) or q <= 0.0:
-                raise ValueError(f"factor weight must be positive and finite, got {q!r}")
+                raise ValueError(f"factor {f}: weight must be positive and finite, got {q!r}")
         total = sum(q for _, q in factors)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"factor weights sum to {total!r}, expected 1")
@@ -62,14 +62,14 @@ class FactorizationCertificate:
 
     def __post_init__(self) -> None:
         rows = []
-        for element in self.elements:
+        for i, element in enumerate(self.elements):
             blocks = tuple(np.asarray(blk, dtype=complex) for blk in element)
             if len(blocks) != self.algebra.num_factors:
-                raise DimensionMismatch("each element needs one block per factor")
+                raise DimensionMismatch(f"element {i}: {len(blocks)} blocks, not one per factor")
             for (d, _), blk in zip(self.algebra.factors, blocks):
                 if blk.shape != (d, d):
                     raise DimensionMismatch(
-                        f"block of shape {blk.shape} does not fit factor M_{d}"
+                        f"element {i}: block of shape {blk.shape} does not fit factor M_{d}"
                     )
             rows.append(blocks)
         if not rows:

@@ -3,6 +3,9 @@
 Complex scalars are encoded as [re, im]; a matrix is
 {"rows": r, "cols": c, "data": [[[re, im], ...], ...]} in row-major order.
 Serialization then parsing reproduces every value bit-exactly.
+Readers check what the format owns (types, nesting, required keys, finite
+numbers); the library code they call decides every other condition, and its
+rejection becomes a SchemaError naming the document path.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from itertools import chain
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
-from .errors import SchemaError
-from .factorization import WEIGHT_SUM_TOL, FactorAlgebra, FactorizationCertificate
-from .linalg import DEFAULT_TOL, Tolerance, frob
+from .errors import DimensionMismatch, NotHermitian, SchemaError
+from .factorization import FactorAlgebra, FactorizationCertificate
+from .linalg import DEFAULT_TOL, Tolerance, _require_hermitian
 from .lmi import LmiPoint, LmiSystem
 from .schur import GramVectors
 
@@ -93,10 +96,10 @@ def _expect_dict(obj, keys: tuple[str, ...], where: str) -> dict:
     return obj
 
 
-def _expect_int(value, where: str, minimum: int = 0) -> int:
+def _expect_int(value, where: str, minimum: int | None = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise SchemaError(f"{where}: must be at least {minimum}")
     return value
 
@@ -111,6 +114,15 @@ def _expect_number(value, where: str) -> float:
     if not math.isfinite(value):
         raise SchemaError(f"{where}: must be finite")
     return value
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``; the DimensionMismatch or ValueError of a library check
+    that rejects the document is raised as a SchemaError naming ``where``."""
+    try:
+        return make(*args)
+    except (DimensionMismatch, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _complex_from(obj, where: str) -> complex:
@@ -156,8 +168,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     obj = _expect_dict(obj, ("rows", "cols", "data"), where)
-    rows = _expect_int(obj["rows"], f"{where}.rows", minimum=1)
-    cols = _expect_int(obj["cols"], f"{where}.cols", minimum=1)
+    rows = _expect_int(obj["rows"], f"{where}.rows")
+    cols = _expect_int(obj["cols"], f"{where}.cols")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(f"{where}.data: expected {rows} rows")
@@ -171,6 +183,13 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         for j, entry in enumerate(row):
             out[i, j] = _complex_from(entry, f"{where}.data[{i}][{j}]")
     return out
+
+
+def _matrices(items, where: str) -> list:
+    """The matrices of a JSON list, each named by its index in errors."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: expected a list")
+    return [matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -197,16 +216,13 @@ def channel_to_json(k: KrausChannel) -> dict:
 
 def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     obj = _expect_dict(obj, ("dim_in", "dim_out", "kraus"), where)
-    n = _expect_int(obj["dim_in"], f"{where}.dim_in", minimum=1)
-    m = _expect_int(obj["dim_out"], f"{where}.dim_out", minimum=1)
-    kraus = obj["kraus"]
-    if not isinstance(kraus, list) or not kraus:
-        raise SchemaError(f"{where}.kraus: expected a nonempty list")
-    ops = [matrix_from_json(item, f"{where}.kraus[{i}]") for i, item in enumerate(kraus)]
+    n = _expect_int(obj["dim_in"], f"{where}.dim_in")
+    m = _expect_int(obj["dim_out"], f"{where}.dim_out")
+    ops = _matrices(obj["kraus"], f"{where}.kraus")
     for i, op in enumerate(ops):
         if op.shape != (m, n):
             raise SchemaError(f"{where}.kraus[{i}]: expected shape {(m, n)}, got {op.shape}")
-    return KrausChannel(ops)
+    return _built(f"{where}.kraus", KrausChannel, ops)
 
 
 def choi_to_json(c: ChoiMatrix) -> dict:
@@ -219,12 +235,10 @@ def choi_to_json(c: ChoiMatrix) -> dict:
 
 def choi_from_json(obj, where: str = "choi") -> ChoiMatrix:
     obj = _expect_dict(obj, ("dim_in", "dim_out", "matrix"), where)
-    n = _expect_int(obj["dim_in"], f"{where}.dim_in", minimum=1)
-    m = _expect_int(obj["dim_out"], f"{where}.dim_out", minimum=1)
+    n = _expect_int(obj["dim_in"], f"{where}.dim_in")
+    m = _expect_int(obj["dim_out"], f"{where}.dim_out")
     mat = matrix_from_json(obj["matrix"], f"{where}.matrix")
-    if mat.shape != (n * m, n * m):
-        raise SchemaError(f"{where}.matrix: expected shape {(n * m, n * m)}, got {mat.shape}")
-    return ChoiMatrix(n, m, mat)
+    return _built(f"{where}.matrix", ChoiMatrix, n, m, mat)
 
 
 def correlation_to_json(matrix: np.ndarray) -> dict:
@@ -249,25 +263,16 @@ def gram_to_json(w: GramVectors) -> dict:
 
 def _hermitian_list(items, size: int, where: str, tol: Tolerance) -> np.ndarray:
     """A list of size x size matrices, Hermitian within ``tol``, as one
-    count x size x size array. One stacked norm passes a valid list; only a
-    failing one is walked in order, so the error names the first offender."""
-    if not isinstance(items, list):
-        raise SchemaError(f"{where}: expected a list")
-    mats = [matrix_from_json(item, f"{where}[{i}]") for i, item in enumerate(items)]
-    if all(m.shape == (size, size) for m in mats):
-        stack = np.array(mats, dtype=complex).reshape(-1, size, size)
-        with np.errstate(over="ignore"):
-            dev = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-            scale = np.linalg.norm(stack, axis=(1, 2))
-        # an overflowing scale is taken again by frob, in the walk below
-        if np.isfinite(scale).all() and all(map(tol.close, dev.tolist(), scale.tolist())):
-            return stack
+    count x size x size array; the error names the first offender."""
+    mats = _matrices(items, where)
     for i, m in enumerate(mats):
         if m.shape != (size, size):
             raise SchemaError(f"{where}[{i}]: expected shape {(size, size)}")
-        if not tol.close(frob(m - m.conj().T), frob(m)):
-            raise SchemaError(f"{where}[{i}]: must be Hermitian")
-    return stack
+        try:
+            _require_hermitian(m, tol)
+        except NotHermitian:
+            raise SchemaError(f"{where}[{i}]: must be Hermitian") from None
+    return np.array(mats, dtype=complex).reshape(-1, size, size)
 
 
 def lmi_to_json(s: LmiSystem) -> dict:
@@ -276,7 +281,7 @@ def lmi_to_json(s: LmiSystem) -> dict:
 
 def lmi_from_json(obj, where: str = "lmi", tol: Tolerance = DEFAULT_TOL) -> LmiSystem:
     obj = _expect_dict(obj, ("p", "z"), where)
-    p = _expect_int(obj["p"], f"{where}.p", minimum=1)
+    p = _expect_int(obj["p"], f"{where}.p")
     return LmiSystem(p, _hermitian_list(obj["z"], p, f"{where}.z", tol))
 
 
@@ -286,7 +291,7 @@ def point_to_json(point: LmiPoint) -> dict:
 
 def point_from_json(obj, where: str = "point", tol: Tolerance = DEFAULT_TOL) -> LmiPoint:
     obj = _expect_dict(obj, ("k", "a"), where)
-    k = _expect_int(obj["k"], f"{where}.k", minimum=1)
+    k = _expect_int(obj["k"], f"{where}.k")
     return LmiPoint(k, _hermitian_list(obj["a"], k, f"{where}.a", tol))
 
 
@@ -297,20 +302,14 @@ def algebra_to_json(algebra: FactorAlgebra) -> dict:
 def algebra_from_json(obj, where: str = "algebra") -> FactorAlgebra:
     obj = _expect_dict(obj, ("factors",), where)
     items = obj["factors"]
-    if not isinstance(items, list) or not items:
-        raise SchemaError(f"{where}.factors: expected a nonempty list")
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}.factors: expected a list")
     factors = []
     for i, item in enumerate(items):
         item = _expect_dict(item, ("dim", "weight"), f"{where}.factors[{i}]")
-        d = _expect_int(item["dim"], f"{where}.factors[{i}].dim", minimum=1)
-        q = _expect_number(item["weight"], f"{where}.factors[{i}].weight")
-        if q <= 0.0:
-            raise SchemaError(f"{where}.factors[{i}].weight: must be positive")
-        factors.append((d, q))
-    total = sum(q for _, q in factors)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise SchemaError(f"{where}.factors: weights sum to {total!r}, expected 1")
-    return FactorAlgebra(tuple(factors))
+        d = _expect_int(item["dim"], f"{where}.factors[{i}].dim", minimum=None)
+        factors.append((d, _expect_number(item["weight"], f"{where}.factors[{i}].weight")))
+    return _built(f"{where}.factors", FactorAlgebra, tuple(factors))
 
 
 def certificate_to_json(cert: FactorizationCertificate) -> dict:
@@ -326,17 +325,7 @@ def certificate_from_json(obj, where: str = "certificate") -> FactorizationCerti
     obj = _expect_dict(obj, ("algebra", "v"), where)
     algebra = algebra_from_json(obj["algebra"], f"{where}.algebra")
     items = obj["v"]
-    if not isinstance(items, list) or not items:
-        raise SchemaError(f"{where}.v: expected a nonempty list")
-    elements = []
-    for i, element in enumerate(items):
-        if not isinstance(element, list) or len(element) != algebra.num_factors:
-            raise SchemaError(f"{where}.v[{i}]: expected {algebra.num_factors} blocks")
-        blocks = tuple(
-            matrix_from_json(blk, f"{where}.v[{i}][{f}]") for f, blk in enumerate(element)
-        )
-        for (d, _), blk in zip(algebra.factors, blocks):
-            if blk.shape != (d, d):
-                raise SchemaError(f"{where}.v[{i}]: block shape {blk.shape} does not fit M_{d}")
-        elements.append(blocks)
-    return FactorizationCertificate(algebra, tuple(elements))
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}.v: expected a list")
+    elements = [_matrices(blocks, f"{where}.v[{i}]") for i, blocks in enumerate(items)]
+    return _built(f"{where}.v", FactorizationCertificate, algebra, elements)

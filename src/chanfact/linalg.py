@@ -54,8 +54,9 @@ class Tolerance:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def close(self, gap: float, scale: float = 1.0) -> bool:
-        """``gap <= abs_tol * max(1, scale)`` as a Python bool; a NaN gap is never close."""
-        return bool(gap <= self.abs_tol * max(1.0, scale))
+        """``gap <= abs_tol * max(1, scale) < inf`` as a Python bool: a NaN gap or
+        an infinite bound, from an overflowed scale, is never close."""
+        return bool(gap <= self.abs_tol * max(1.0, scale) < math.inf)
 
 
 DEFAULT_TOL = Tolerance()
@@ -107,9 +108,11 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 def _require_hermitian(h: np.ndarray, tol: Tolerance) -> float:
     """``||h||_F``; raises NotHermitian unless ``||h - h*||_F`` is close to 0 at that scale."""
-    gap, norm = frob(h - h.conj().T), frob(h)
+    with np.errstate(over="ignore"):  # an overflowing difference is an infinite gap
+        gap = frob(h - h.conj().T)
+    norm = frob(h)
     if not tol.close(gap, norm):
-        raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e}")
+        raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e} at norm {norm:.3e}")
     return norm
 
 

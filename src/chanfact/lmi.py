@@ -21,6 +21,7 @@ from .complement import selfadjoint_kernel_basis
 from .errors import (
     DependentBasis,
     DimensionMismatch,
+    NoConvergence,
     NotInSpan,
     NotInSpectrahedron,
     NotPSD,
@@ -86,7 +87,10 @@ def lmi_eval(s: LmiSystem, point: LmiPoint) -> np.ndarray:
 def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) -> LmiMembership:
     """PSD flag, numerical rank, and coefficient traces of the pencil value."""
     value = lmi_eval(s, point)
-    w = np.linalg.eigvalsh(value)
+    try:
+        w = np.linalg.eigvalsh(value)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     psd = tol.close(-w[0], frob(value))
     # a tolerated negative eigenvalue adds nothing to a PSD value's rank
     rank = spectral_rank(np.maximum(w, 0.0) if psd else w, tol)

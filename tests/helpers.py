@@ -238,6 +238,33 @@ def reference_selfadjoint_kernel_basis(k, tol=DEFAULT_TOL):
     return basis
 
 
+def hermitian_coefficients(h):
+    """Coordinates of a Hermitian matrix in E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2."""
+    iu, ju = np.triu_indices(h.shape[0], 1)
+    off = np.sqrt(2.0) * h[iu, ju]
+    return np.concatenate([np.diag(h).real, off.real, off.imag])
+
+
+def smallest_kept_pivot(basis, tol=DEFAULT_TOL):
+    """The smallest pivot the echelon factor of a kernel basis keeps; 1.0 for d = 0.
+
+    The pivots are those of the in-order Cholesky of the projector onto the
+    basis's span, in the coordinates of :func:`hermitian_coefficients`, with
+    columns at or below the ``rel_rank_tol`` cut skipped: they depend on the
+    span alone, not on which basis of it is given.
+    """
+    p = basis.shape[1]
+    c = np.array([hermitian_coefficients(h) for h in basis]).reshape(len(basis), p * p)
+    g = c.T @ c
+    cut = tol.rel_rank_tol * g.diagonal().max(initial=0.0)
+    pivots = []
+    for j in range(len(g)):
+        if g[j, j] > cut:
+            pivots.append(math.sqrt(g[j, j]))
+            g = g - np.outer(g[:, j], g[j]) / g[j, j]
+    return min(pivots, default=1.0)
+
+
 def _hermitian_units(p):
     """p^2 x p^2 matrix whose columns are the row-major flattenings of the
     HS-orthonormal basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j)

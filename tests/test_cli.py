@@ -24,6 +24,7 @@ from chanfact import (
     schur_channel_from_gram,
 )
 from chanfact.cli import _build_parser, main
+from chanfact.factorization import WEIGHT_SUM_TOL
 from helpers import amplitude_damping, haar_unitary, reference_dumps
 
 
@@ -390,6 +391,86 @@ def test_point_that_does_not_fit_the_system_exits_2(tmp_path, capsys, command):
     assert report["error"] == "SchemaError"
     where = "point1" if command == "extremality" else "point"
     assert report["detail"] == f"{where}: 1 coefficient(s), the system needs 3"
+
+
+# document, JSON path to a value, the invalid value, and the path the error names;
+# FactorAlgebra, FactorizationCertificate, ChoiMatrix and the Hermitian test reject them
+INVALID_DOCUMENTS = {
+    "weight sum off": ("certificate", ("algebra", "factors", 0, "weight"),
+                       1.0 + 4 * WEIGHT_SUM_TOL, "certificate.algebra.factors"),
+    "negative weight": ("certificate", ("algebra", "factors", 0, "weight"), -1.0,
+                        "certificate.algebra.factors"),
+    "dim 0": ("certificate", ("algebra", "factors", 0, "dim"), 0, "certificate.algebra.factors"),
+    "no factors": ("certificate", ("algebra", "factors"), [], "certificate.algebra.factors"),
+    "block missing": ("certificate", ("v", 0), [], "certificate.v"),
+    "block size": ("certificate", ("v", 0, 0), jsonio.matrix_to_json(np.eye(3)), "certificate.v"),
+    "no elements": ("certificate", ("v",), [], "certificate.v"),
+    "choi size": ("choi", ("matrix",), jsonio.matrix_to_json(np.eye(3)), "choi.matrix"),
+    "lmi not Hermitian": ("lmi", ("z", 0, "data", 0, 1), [5.0, 0.0], "lmi.z[0]"),
+    "lmi shape": ("lmi", ("z", 1), jsonio.matrix_to_json(np.eye(2)), "lmi.z[1]"),
+    "point not Hermitian": ("point", ("a", 2, "data", 1, 0), [0.0, 5.0], "point.a[2]"),
+}
+COMMAND_INPUTS = {
+    "certificate": ("verify", ("channel", "certificate")),
+    "choi": ("kraus", ("choi",)),
+    "lmi": ("lmi-check", ("lmi", "point")),
+    "point": ("lmi-check", ("lmi", "point")),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_DOCUMENTS))
+def test_invalid_document_exits_2_naming_its_path(tmp_path, capsys, case):
+    name, path, value, where = INVALID_DOCUMENTS[case]
+    command, names = COMMAND_INPUTS[name]
+    hm, k, system, point = hm_setup()
+    docs = {
+        "channel": jsonio.channel_to_json(k),
+        "certificate": jsonio.certificate_to_json(certificate_from_point(k, system, point)),
+        "choi": jsonio.choi_to_json(choi_from_kraus(k)),
+        "lmi": jsonio.lmi_to_json(system),
+        "point": jsonio.point_to_json(point),
+    }
+
+    def call():
+        return run(capsys, command, *[a for n in names for a in ("-i", write(tmp_path / n, docs[n]))])
+
+    assert call()[0] == 0
+    target = docs[name]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, doc, err = call()
+    assert code == 2 and doc is None
+    assert len(err.splitlines()) == 1
+    report = json.loads(err)
+    assert report["error"] == "SchemaError"
+    assert report["detail"].startswith(where)
+
+
+@pytest.mark.parametrize("command", ["lmi-check", "extract"])
+def test_point_whose_pencil_norm_overflows_is_rejected(tmp_path, capsys, command):
+    # the HM point times 1e308: the pencil value has lambda_min about -1e308 and a
+    # Frobenius norm beyond the float range, so no threshold at that scale holds
+    hm, k, system, point = hm_setup()
+    s = write(tmp_path / "s.json", jsonio.lmi_to_json(system))
+    big = write(tmp_path / "big.json", jsonio.point_to_json(LmiPoint(2, 1e308 * point.a)))
+    code, doc, err = run(capsys, command, "-i", s, "-i", big, "--json")
+    assert code == 1
+    if command == "lmi-check":
+        assert doc["psd"] is False
+    else:
+        assert doc is None and json.loads(err)["error"] == "NotHermitian"
+
+
+def test_membership_that_does_not_converge_exits_1(tmp_path, capsys):
+    # at 1.5e308 times the HM point the pencil value is not finite and eigvalsh fails
+    hm, k, system, point = hm_setup()
+    s = write(tmp_path / "s.json", jsonio.lmi_to_json(system))
+    big = write(tmp_path / "big.json", jsonio.point_to_json(LmiPoint(2, 1.5e308 * point.a)))
+    code, doc, err = run(capsys, "lmi-check", "-i", s, "-i", big)
+    assert code == 1 and doc is None
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NoConvergence"
 
 
 def test_verify_of_non_square_channel_exits_1(tmp_path, capsys):

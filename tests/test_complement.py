@@ -16,6 +16,7 @@ from chanfact import (
 from helpers import (
     complex_gaussian,
     haar_unitary,
+    hermitian_coefficients,
     random_hermitian,
     random_tp_channel,
     rank_tol,
@@ -33,13 +34,6 @@ def dephasing():
 
 def dilation(rng, n, k):
     return channel_from_dilation(haar_unitary(rng, n * k), n, k)
-
-
-def hermitian_coefficients(h):
-    """Coordinates of a Hermitian matrix in E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2."""
-    iu, ju = np.triu_indices(h.shape[0], 1)
-    off = np.sqrt(2.0) * h[iu, ju]
-    return np.concatenate([np.diag(h).real, off.real, off.imag])
 
 
 def test_complement_of_dephasing_is_dephasing():

@@ -130,6 +130,17 @@ def test_hermitian_check_at_an_overflowing_scale():
         jsonio.point_from_json({"k": 2, "a": [skew]})
 
 
+@pytest.mark.parametrize("entries", [
+    [[0.0, 1.5e308], [-1.5e308, 0.0]],  # a - a* overflows: an infinite gap
+    [[1.5e308, 0.0], [0.0, 1.5e308]],  # Hermitian, but its norm is not a float
+])
+def test_hermitian_check_beyond_the_float_range(entries):
+    # rejected without an overflow warning (the suite turns warnings into errors)
+    doc = {"k": 2, "a": [jsonio.matrix_to_json(np.array(entries))]}
+    with pytest.raises(SchemaError, match=r"point\.a\[0\]: must be Hermitian"):
+        jsonio.point_from_json(doc)
+
+
 def _walk_error(mats, size, where, tol):
     """The per-matrix walk the stacked check must agree with."""
     for i, m in enumerate(mats):

@@ -34,6 +34,14 @@ def test_tolerance_rejects_bad_values():
         Tolerance(rel_rank_tol=float("nan"))
 
 
+def test_close_rejects_an_infinite_bound():
+    # a scale that overflowed to inf would otherwise make every gap close
+    tol = Tolerance()
+    assert tol.close(0.0, 1e300)
+    assert not tol.close(0.0, float("inf"))
+    assert not tol.close(1e300, float("inf"))
+
+
 def test_frob_is_root_sum_of_squares():
     rng = np.random.default_rng(1)
     a = complex_gaussian(rng, (3, 4))
@@ -69,6 +77,13 @@ def test_psd_factor_rejects_indefinite_at_an_overflowing_scale():
     assert frob(big) == pytest.approx(np.sqrt(2.0) * 1e160)
     with pytest.raises(NotPSD):
         psd_factor(big)
+
+
+def test_psd_factor_rejects_a_norm_beyond_the_float_range():
+    # ||diag(1.5e308, -1.5e308)|| = 2.1e308 is not a float; at an infinite scale
+    # the eigenvalue -1.5e308 would pass as PSD
+    with pytest.raises(NotHermitian, match="at norm inf"):
+        psd_factor(np.diag([1.5e308, -1.5e308]))
 
 
 def test_rank_tol_counts_singular_values():

@@ -58,6 +58,7 @@ from helpers import (  # noqa: E402
     rank_tol,
     reference_factor_gram,
     reference_residuals,
+    smallest_kept_pivot,
 )
 
 HM_SYSTEM = LmiSystem(3, hm_example().z)
@@ -285,7 +286,9 @@ def test_rounding_level_changes_move_printed_bases_by_rounding(n, seed):
     rng = np.random.default_rng(seed)
     channel, cert, mixed, mixed_cert = mixed_dilation(rng, n, n)
     kernel = selfadjoint_kernel_basis(channel)
-    assert largest_move(kernel, selfadjoint_kernel_basis(mixed)) < 1e-10
+    # the echelon basis moves by rounding over its smallest kept pivot
+    bound = 1e-10 / smallest_kept_pivot(kernel)
+    assert largest_move(kernel, selfadjoint_kernel_basis(mixed)) < bound
     assert largest_move(stinespring_dilation(channel)[0], stinespring_dilation(mixed)[0]) < 1e-10
     for (ops, blocks), (mixed_ops, mixed_blocks) in zip(
         decomposed(channel, cert), decomposed(mixed, mixed_cert), strict=True
