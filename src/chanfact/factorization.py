@@ -22,7 +22,7 @@ from .channel import (
     convex_combine_channels,
 )
 from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
-from .linalg import DEFAULT_TOL, Tolerance, frob, psd_factor
+from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, frob
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -213,13 +213,17 @@ def decompose_by_factors(
     """Split a channel along the factors of its certificate's algebra.
 
     For factor k, Q_k is the echelon factor of the p x p Gram matrix
-    Q_k* Q_k = (id (x) tau)(sum E_ij (x) V_i* V_j); the component channel has
-    Kraus operators sum_j (Q_k)_mj K_j and a single-factor certificate with
-    elements transferred through the pseudoinverse of Q_k, which has full row
-    rank: with Q_k* = W R (W orthonormal columns, R triangular) it is W R^-*,
-    whose conditioning is that of Q_k, not of its Gram matrix. The weighted
-    Gram matrices sum to I_p and the weighted Choi matrices sum to the input's.
-    The block stacks and the traces Tr(V_i* V_j) come from the verify pass.
+    Q_k* Q_k = (id (x) tau)(sum E_ij (x) V_i* V_j), taken from the blocks
+    themselves: the in-order Gram-Schmidt of the columns vec(V_i) / sqrt(d_k),
+    so Q_k keeps the blocks' conditioning, not that of their Gram matrix. The
+    component channel has Kraus operators sum_j (Q_k)_mj K_j and a
+    single-factor certificate with elements transferred through the
+    pseudoinverse of Q_k, which has full row rank: with Q_k* = W R (W
+    orthonormal columns, R triangular) it is W R^-*. That is the
+    least-squares transfer, so a block whose residual fell below the pivot cut
+    is still carried. The weighted Gram matrices sum to I_p and the weighted
+    Choi matrices sum to the input's. The block stacks and the traces
+    Tr(V_i* V_j) come from the verify pass.
     """
     report, stacks, traces = _verify(k, cert, tol)
     if not report.passed:
@@ -227,16 +231,16 @@ def decompose_by_factors(
     p, n = k.num_kraus, k.dim_in
     components = []
     for f, ((d, q), blocks, trace) in enumerate(zip(cert.algebra.factors, stacks, traces)):
-        gram = trace / d
-        qmat = psd_factor(gram, tol)
+        flat = blocks.reshape(p, d * d)
+        qmat = _root_echelon(flat.T / math.sqrt(d), tol)
         if not len(qmat):
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
         w, r = np.linalg.qr(qmat.conj().T)
         pinv = np.linalg.solve(r, w.conj().T).conj().T
-        elements = tuple((e,) for e in (pinv.T @ blocks.reshape(p, d * d)).reshape(-1, d, d))
+        elements = tuple((e,) for e in (pinv.T @ flat).reshape(-1, d, d))
         sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
         channel = KrausChannel((qmat @ k.operators.reshape(p, n * n)).reshape(-1, n, n))
-        components.append(FactorComponent(q, channel, sub_cert, gram))
+        components.append(FactorComponent(q, channel, sub_cert, trace / d))
     return components
 
 

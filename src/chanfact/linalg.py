@@ -5,12 +5,15 @@ Conventions used throughout the package:
 - Every tolerance decision is :meth:`Tolerance.close`, every rank decision
   :func:`spectral_rank` on a spectrum or the echelon pivot cut.
 - Every factor and basis the package prints is the echelon factor R of a PSD
-  matrix G = R* R, which :func:`psd_factor` returns: the in-order pivoted
-  Cholesky of G, which takes the columns in index order, skips a column whose
-  pivot is at or below ``rel_rank_tol`` times G's largest diagonal entry, and
-  makes row t zero before its pivot column, where it is real and positive.
+  matrix G = R* R: row t is zero before its pivot column, where it is real and
+  positive, the columns are taken in index order, and a column is skipped when
+  its pivot is at or below ``rel_rank_tol`` times G's largest diagonal entry.
   This factor is unique, so it moves only by rounding when G does, and the
-  pivots it keeps are the rank of the factor.
+  pivots it keeps are the rank of the factor. Two routines compute it with
+  that one pivot rule: :func:`psd_factor`, the in-order pivoted Cholesky of
+  G, and :func:`_root_echelon`, the in-order Gram-Schmidt of a root m with
+  G = m* m, whose squared residuals are the pivots without squaring m's
+  conditioning.
 """
 
 from __future__ import annotations
@@ -142,33 +145,18 @@ def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
     On the eigenvalues of a Hermitian matrix, whose moduli are its singular
     values, this is the rank on singular values without a second
-    decomposition.
+    decomposition. Raises NoConvergence unless every value is finite: no cut
+    relative to an infinite or NaN largest value counts anything.
     """
     a = np.abs(np.asarray(values))
     if a.size == 0:
         return 0
+    if not np.isfinite(a).all():
+        raise NoConvergence("spectrum is not finite")
     top = a.max()
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(a > tol.rel_rank_tol * top))
-
-
-def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    """Trace out one tensor factor of a matrix on C^a (x) C^b.
-
-    ``side='left'`` returns (Tr (x) id)(m), a b x b matrix; ``side='right'``
-    returns (id (x) Tr)(m), an a x a matrix.
-    """
-    a, b = dims
-    m = _as_square(m)
-    if m.shape != (a * b, a * b):
-        raise DimensionMismatch(f"expected shape {(a * b, a * b)}, got {m.shape}")
-    t = m.reshape(a, b, a, b)
-    if side == "left":
-        return np.einsum("ixiy->xy", t)
-    if side == "right":
-        return np.einsum("xiyi->xy", t)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
@@ -177,9 +165,11 @@ def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> n
     With ``rank`` None every pivot above the cut is kept. A given ``rank``
     means g is a projector of that rank, decided by the caller from a
     spectrum: a count of kept pivots off the rank is decided again by
-    :func:`_projector_echelon`, and another count still raises NoConvergence;
-    then R <- U^-1 R with R R* = U U*, U upper triangular, restores the
-    orthonormality that small pivots cost and keeps the echelon form.
+    :func:`_root_echelon` with g as its own root (g = g* g), whose pivots err
+    by rounding where the Cholesky's err by rounding over the smallest kept
+    pivot, and another count still raises NoConvergence; then R <- U^-1 R with
+    R R* = U U*, U upper triangular, restores the orthonormality that small
+    pivots cost and keeps the echelon form.
     """
     n = len(g)
     if rank == 0:
@@ -207,7 +197,7 @@ def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> n
     if rank is None:
         return r[:kept]
     if kept != rank:
-        r = _projector_echelon(g, cut)
+        r = _root_echelon(g, tol)
         kept = len(r)
     if kept != rank:
         raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
@@ -219,25 +209,30 @@ def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> n
     return r
 
 
-def _projector_echelon(g: np.ndarray, cut: float) -> np.ndarray:
-    """Echelon rows of a projector g by the in-order Gram-Schmidt of its own columns.
+def _root_echelon(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The echelon factor R (rank x n) of m* m from the in-order Gram-Schmidt of m's columns.
 
-    g = g* g, so a column's squared residual is its pivot, with an error of
-    the order of rounding; the Cholesky's pivots err by rounding over the
-    smallest kept pivot. Columns at or below ``cut`` are skipped. Row t is
-    q_t*, its entries before the pivot, zero in exact arithmetic, set to zero.
+    Column j is kept when its squared residual, its pivot, exceeds
+    ``rel_rank_tol`` times m's largest squared column norm, the largest
+    diagonal entry of m* m. R = W* m for the orthonormal residuals W, each
+    row's entries before its pivot, zero in exact arithmetic, set to zero and
+    its pivot made real. Factoring the root keeps m's conditioning, where the
+    Cholesky of m* m squares it.
     """
-    q = np.zeros_like(g)
+    cut = tol.rel_rank_tol * (m.real**2 + m.imag**2).sum(axis=0).max(initial=0.0)
+    w = np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
     pivots = []
-    for j in range(len(g)):
-        x = g[:, j].copy()
-        for _ in range(2):  # a second pass restores the orthogonality the first loses
-            x -= q[: len(pivots)].T @ (q[: len(pivots)].conj() @ x)
-        norm = math.sqrt(np.vdot(x, x).real)
-        if norm * norm > cut:
-            q[len(pivots)] = x / norm
+    for j, x in enumerate(m.T):
+        if pivots:
+            done = w[: len(pivots)]
+            dual = done.conj()
+            x = x - done.T @ (dual @ x)
+            x -= done.T @ (dual @ x)  # the second pass restores the orthogonality the first loses
+        pivot = np.vdot(x, x).real
+        if pivot > cut:
+            w[len(pivots)] = x / math.sqrt(pivot)
             pivots.append(j)
-    r = q[: len(pivots)].conj()
+    r = w[: len(pivots)].conj() @ m
     for t, j in enumerate(pivots):
         r[t, :j] = 0.0
         r[t, j] = r[t, j].real

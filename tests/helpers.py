@@ -1,5 +1,5 @@
-"""Seeded random generators, matrix utilities (kron, vec, unvec, rank_tol) and
-loop references shared by the test modules."""
+"""Seeded random generators, matrix utilities (kron, partial_trace, vec, unvec,
+rank_tol) and loop references shared by the test modules."""
 
 import json
 import math
@@ -9,6 +9,8 @@ import numpy as np
 from chanfact import (
     DEFAULT_TOL,
     DimensionMismatch,
+    FactorAlgebra,
+    FactorizationCertificate,
     KrausChannel,
     NoConvergence,
     NotHermitian,
@@ -25,6 +27,24 @@ from chanfact.linalg import spectral_rank
 def kron(a, b):
     """Kronecker product, left factor major: ``kron(E_11, X)`` has X as its top-left block."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def partial_trace(m, dims, side):
+    """Trace out one tensor factor of a matrix on C^a (x) C^b.
+
+    ``side='left'`` returns (Tr (x) id)(m), a b x b matrix; ``side='right'``
+    returns (id (x) Tr)(m), an a x a matrix.
+    """
+    a, b = dims
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (a * b, a * b):
+        raise DimensionMismatch(f"expected shape {(a * b, a * b)}, got {m.shape}")
+    t = m.reshape(a, b, a, b)
+    if side == "left":
+        return np.einsum("ixiy->xy", t)
+    if side == "right":
+        return np.einsum("xiyi->xy", t)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def vec(k):
@@ -188,6 +208,41 @@ def reference_factor_gram(cert, f):
         for j in range(p):
             gram[i, j] = np.trace(cert.elements[i][f].conj().T @ cert.elements[j][f]) / d
     return gram
+
+
+def phase_flip_over_two_m2(theta, rng):
+    """The channel (rho + Z rho Z) / 2, conjugated by a Haar unitary, with a
+    certificate over M_2 (+) M_2 (weights 1/2) whose factor Gram matrices have
+    eigenvalues 1 + cos(theta) and 1 - cos(theta).
+
+    Factor f is unitary as diag(X_+, X_-) with X_+ = I and X_- = diag(e^ia,
+    e^-ia), a = theta and pi - theta; the Kraus family and the elements are
+    mixed by a Haar unitary, so the Gram matrices are dense.
+    """
+    u, mix = haar_unitary(rng, 2), haar_unitary(rng, 2)
+    kraus = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex) / np.sqrt(2.0)
+    kraus = np.tensordot(mix, np.einsum("ab,ibc,dc->iad", u, kraus, u.conj()), 1)
+    elements = np.zeros((2, 2, 2, 2), dtype=complex)  # Kraus index, factor, block
+    for f, a in enumerate((theta, np.pi - theta)):
+        x_minus = np.diag([np.exp(1j * a), np.exp(-1j * a)])
+        elements[:, f] = np.array([np.eye(2) + x_minus, np.eye(2) - x_minus]) / np.sqrt(2.0)
+    elements = np.tensordot(mix.conj(), elements, 1)
+    algebra = FactorAlgebra(((2, 0.5), (2, 0.5)))
+    return KrausChannel(kraus), FactorizationCertificate(algebra, tuple(map(tuple, elements)))
+
+
+def reference_factor_echelon(cert, f):
+    """Echelon factor of factor f's Gram matrix from the Householder QR of its blocks.
+
+    The columns vec(V_i) / sqrt(d) have the Gram matrix Tr(V_i* V_j) / d; the
+    triangular factor of their QR, its diagonal made real and positive, is
+    that matrix's echelon factor when the columns are independent.
+    """
+    d = cert.algebra.factors[f][0]
+    m = np.array([element[f].reshape(-1) for element in cert.elements]).T / np.sqrt(d)
+    r = np.linalg.qr(m, mode="r")
+    diag = np.diag(r)
+    return r * (diag.conj() / np.abs(diag))[:, None]
 
 
 def reference_adjoint_operator_matrix(k):

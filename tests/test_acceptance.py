@@ -29,7 +29,6 @@ from chanfact import (
     kraus_from_choi,
     lmi_eval,
     lmi_membership,
-    partial_trace,
     schur_channel_from_gram,
     selfadjoint_kernel_basis,
     stinespring_dilation,
@@ -39,6 +38,7 @@ from helpers import (
     complex_gaussian,
     haar_unitary,
     kron,
+    partial_trace,
     random_cp_channel,
     random_hermitian,
     random_isometry,

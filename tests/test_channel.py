@@ -17,7 +17,6 @@ from chanfact import (
     convex_combine_channels,
     frob,
     kraus_from_choi,
-    partial_trace,
     stinespring_dilation,
 )
 from helpers import (
@@ -25,6 +24,7 @@ from helpers import (
     complex_gaussian,
     haar_unitary,
     kron,
+    partial_trace,
     random_cp_channel,
     random_hermitian,
     random_tp_channel,

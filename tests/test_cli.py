@@ -25,7 +25,7 @@ from chanfact import (
 )
 from chanfact.cli import _build_parser, main
 from chanfact.factorization import WEIGHT_SUM_TOL
-from helpers import amplitude_damping, haar_unitary, reference_dumps
+from helpers import amplitude_damping, haar_unitary, phase_flip_over_two_m2, reference_dumps
 
 
 def write(path, doc):
@@ -219,6 +219,21 @@ def test_combine_and_decompose(tmp_path, capsys):
     assert code == 0
     weights = [c["weight"] for c in doc["components"]]
     assert weights == pytest.approx([0.3, 0.7])
+
+
+def test_components_of_an_ill_conditioned_factor_verify(tmp_path, capsys):
+    # relative Gram eigenvalue 1e-8: the factor's Gram matrix squares its
+    # conditioning, and the components are taken from the blocks themselves
+    k, cert = phase_flip_over_two_m2(2e-4, np.random.default_rng(57))
+    ch = write(tmp_path / "ch.json", jsonio.channel_to_json(k))
+    ct = write(tmp_path / "cert.json", jsonio.certificate_to_json(cert))
+    code, doc, _ = run(capsys, "decompose", "-i", ch, "-i", ct)
+    assert code == 0 and len(doc["components"]) == 2
+    for f, comp in enumerate(doc["components"]):
+        ch = write(tmp_path / f"ch{f}.json", comp["channel"])
+        ct = write(tmp_path / f"cert{f}.json", comp["certificate"])
+        code, report, _ = run(capsys, "verify", "-i", ch, "-i", ct)
+        assert code == 0 and report["pass"] is True
 
 
 def test_extremality_exit_codes(tmp_path, capsys):
@@ -449,17 +464,17 @@ def test_invalid_document_exits_2_naming_its_path(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("command", ["lmi-check", "extract"])
 def test_point_whose_pencil_norm_overflows_is_rejected(tmp_path, capsys, command):
-    # the HM point times 1e308: the pencil value has lambda_min about -1e308 and a
-    # Frobenius norm beyond the float range, so no threshold at that scale holds
+    # the HM point times 1e308: the pencil value has lambda_min about -1e308, two
+    # infinite eigenvalues and a Frobenius norm beyond the float range, so no
+    # threshold at that scale holds and no rank can be counted
     hm, k, system, point = hm_setup()
     s = write(tmp_path / "s.json", jsonio.lmi_to_json(system))
     big = write(tmp_path / "big.json", jsonio.point_to_json(LmiPoint(2, 1e308 * point.a)))
     code, doc, err = run(capsys, command, "-i", s, "-i", big, "--json")
-    assert code == 1
-    if command == "lmi-check":
-        assert doc["psd"] is False
-    else:
-        assert doc is None and json.loads(err)["error"] == "NotHermitian"
+    assert code == 1 and doc is None
+    assert len(err.splitlines()) == 1
+    expected = {"lmi-check": "NoConvergence", "extract": "NotHermitian"}[command]
+    assert json.loads(err)["error"] == expected
 
 
 def test_membership_that_does_not_converge_exits_1(tmp_path, capsys):

@@ -33,7 +33,9 @@ from helpers import (
     complex_gaussian,
     haar_unitary,
     kron,
+    phase_flip_over_two_m2,
     random_hermitian,
+    reference_factor_echelon,
     reference_factor_gram,
     reference_residuals,
 )
@@ -303,27 +305,6 @@ def test_decompose_transfers_match_pinv_loop(name):
             assert frob(comp.certificate.elements[m][0] - element) <= 1e-12 * max(1.0, frob(element))
 
 
-def phase_flip_over_two_m2(theta, rng):
-    """The channel (rho + Z rho Z) / 2, conjugated by a Haar unitary, with a
-    certificate over M_2 (+) M_2 (weights 1/2) whose factor Gram matrices have
-    eigenvalues 1 + cos(theta) and 1 - cos(theta).
-
-    Factor f is unitary as diag(X_+, X_-) with X_+ = I and X_- = diag(e^ia,
-    e^-ia), a = theta and pi - theta; the Kraus family and the elements are
-    mixed by a Haar unitary, so the Gram matrices are dense.
-    """
-    u, mix = haar_unitary(rng, 2), haar_unitary(rng, 2)
-    kraus = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex) / np.sqrt(2.0)
-    kraus = np.tensordot(mix, np.einsum("ab,ibc,dc->iad", u, kraus, u.conj()), 1)
-    elements = np.zeros((2, 2, 2, 2), dtype=complex)  # Kraus index, factor, block
-    for f, a in enumerate((theta, np.pi - theta)):
-        x_minus = np.diag([np.exp(1j * a), np.exp(-1j * a)])
-        elements[:, f] = np.array([np.eye(2) + x_minus, np.eye(2) - x_minus]) / np.sqrt(2.0)
-    elements = np.tensordot(mix.conj(), elements, 1)
-    algebra = FactorAlgebra(((2, 0.5), (2, 0.5)))
-    return KrausChannel(kraus), FactorizationCertificate(algebra, tuple(map(tuple, elements)))
-
-
 @pytest.mark.parametrize("theta", [3e-3, 2e-4, 6e-5])
 def test_decompose_along_an_ill_conditioned_factor(theta):
     # relative Gram eigenvalue tan(theta / 2)^2: 2.2e-6, 1.0e-8 and 9.0e-10, the last
@@ -336,15 +317,30 @@ def test_decompose_along_an_ill_conditioned_factor(theta):
     for f, comp in enumerate(components):
         w = np.linalg.eigvalsh(comp.gram)
         assert w[0] / w[-1] == pytest.approx(np.tan(theta / 2) ** 2, rel=1e-3)
-        qpinv = np.linalg.pinv(psd_factor(comp.gram))
+        qpinv = np.linalg.pinv(reference_factor_echelon(cert, f))
         expected = np.tensordot(qpinv, [element[f] for element in cert.elements], (0, 0))
         got = np.array([element[0] for element in comp.certificate.elements])
         assert comp.channel.num_kraus == len(got) == 2
         assert frob(got - expected) <= 1e-10 * frob(expected)
-        # the sub-certificate's orthonormality carries the Gram matrix's own
-        # rounding over its relative eigenvalue, up to 1e-7 at theta = 6e-5
-        if theta > 1e-3:
-            assert verify_certificate(comp.channel, comp.certificate).passed
+        report = verify_certificate(comp.channel, comp.certificate)
+        residuals = (report.orthonormality_residual, report.complement_residual,
+                     report.unitarity_residual)
+        assert report.passed and max(residuals) <= 1e-10
+
+
+def test_decompose_drops_a_pivot_below_the_cut():
+    # at theta = 1e-5 the relative Gram eigenvalue is 2.5e-11 and the second pivot,
+    # 1.8e-10 and 3.6e-11 of the largest diagonal entry, is cut: each factor keeps one
+    # Kraus operator, and the least-squares transfer of the blocks still certifies it
+    k, cert = phase_flip_over_two_m2(1e-5, np.random.default_rng(57))
+    assert verify_certificate(k, cert).passed
+    components = decompose_by_factors(k, cert)
+    choi = sum(comp.weight * choi_from_kraus(comp.channel).matrix for comp in components)
+    # the Choi matrices lose only the cut pivots, each below rel_rank_tol
+    assert frob(choi - choi_from_kraus(k).matrix) < 1e-9
+    for comp in components:
+        assert comp.channel.num_kraus == comp.certificate.num_elements == 1
+        assert verify_certificate(comp.channel, comp.certificate).passed
 
 
 def test_certificate_from_point_checks_in_order():

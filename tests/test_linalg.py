@@ -10,13 +10,13 @@ from chanfact import (
     Tolerance,
     complete_isometry,
     frob,
-    partial_trace,
     psd_factor,
 )
-from chanfact.linalg import _echelon_factor, spectral_rank
+from chanfact.linalg import _echelon_factor, _root_echelon, spectral_rank
 from helpers import (
     complex_gaussian,
     kron,
+    partial_trace,
     random_isometry,
     random_psd,
     random_tp_channel,
@@ -107,6 +107,13 @@ def test_spectral_rank_of_eigenvalues_equals_rank_tol():
     assert spectral_rank(np.array([])) == 0
 
 
+def test_spectral_rank_of_a_non_finite_spectrum_does_not_converge():
+    # no threshold relative to an infinite or NaN largest value counts anything
+    for values in ([1.0, np.inf], [np.nan, 1.0], [-np.inf, -1e308, 0.0]):
+        with pytest.raises(NoConvergence):
+            spectral_rank(np.array(values))
+
+
 def test_partial_trace_of_kron():
     rng = np.random.default_rng(7)
     a = complex_gaussian(rng, (2, 2))
@@ -178,6 +185,8 @@ def test_echelon_factor_reproduces_psd_matrix():
         assert r.shape == (rank, n)
         assert_echelon(r)
         assert frob(r.conj().T @ r - g) <= 1e-11 * frob(g)
+        # the Gram-Schmidt of the root b gives the same unique factor
+        assert frob(_root_echelon(b, Tolerance()) - r) <= 1e-11 * frob(r)
 
 
 def test_echelon_factor_of_projector_is_orthonormal():

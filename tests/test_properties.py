@@ -36,7 +36,6 @@ from chanfact import (  # noqa: E402
     kraus_from_choi,
     lmi_eval,
     lmi_membership,
-    partial_trace,
     point_from_blocks,
     schur_channel,
     schur_channel_from_gram,
@@ -53,6 +52,7 @@ from helpers import (  # noqa: E402
     complex_gaussian,
     haar_unitary,
     kron,
+    partial_trace,
     random_hermitian,
     random_tp_channel,
     rank_tol,
