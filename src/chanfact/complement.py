@@ -4,8 +4,8 @@ For a channel with Kraus operators {K_i}_{i=1..p}, the complementary channel
 sends X to the p x p matrix with (a, b) entry Tr(K_b* K_a X); its adjoint
 sends Y to sum_ij y_ij K_i* K_j. The kernel of that adjoint drives the
 extremality test and the LMI system built in :mod:`chanfact.lmi`; one real
-SVD of the adjoint on Hermitian Y gives its dimension, and the echelon factor
-of its projector gives a Hermitian basis of it.
+SVD of the adjoint on Hermitian Y gives its dimension and the rows that span
+it, and the echelon factor of those rows gives a Hermitian basis of it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import KrausChannel, channel_checks
 from .errors import DimensionMismatch, NotTracePreserving
-from .linalg import DEFAULT_TOL, Tolerance, _echelon_factor, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, spectral_rank
 
 
 def _kraus_products(k: KrausChannel) -> np.ndarray:
@@ -33,7 +33,8 @@ def _hermitian_kernel(k: KrausChannel, tol: Tolerance) -> np.ndarray:
 
     Returns the d = p^2 - rank HS-orthonormal Hermitian matrices, a (d, p, p)
     array, whose coefficient vectors are the orthonormal echelon factor of the
-    projector onto the span of the trailing right singular vectors.
+    kernel projector, factored from its root: the d trailing right singular
+    vectors, as rows.
     """
     p = k.num_kraus
     a = _kraus_products(k).reshape(p, p, -1)
@@ -47,8 +48,7 @@ def _hermitian_kernel(k: KrausChannel, tol: Tolerance) -> np.ndarray:
     # the kernel needs all p^2 right singular vectors, also when 2n^2 < p^2
     _, s, vt = np.linalg.svd(real_map, full_matrices=real_map.shape[0] < p * p)
     kernel = vt[spectral_rank(s, tol) :]
-    # K^T K, not I - (range part)^T (range part): dependent pivots stay at rounding level
-    coeffs = _echelon_factor(kernel.T @ kernel, tol, len(kernel))
+    coeffs = _root_echelon(kernel, tol, len(kernel))
     sym, anti = np.split(half * coeffs[:, p:], 2, axis=1)
     basis = np.empty((len(coeffs), p, p), dtype=complex)
     basis[:, diag, diag] = coeffs[:, :p]
@@ -80,18 +80,10 @@ def selfadjoint_kernel_basis(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> n
     dimension kernel_dim, which one real SVD of the adjoint restricted to
     Herm(p) decides. The coefficient vectors in E_ii, (E_ij + E_ji)/sqrt2,
     i(E_ij - E_ji)/sqrt2 are the orthonormal echelon factor of the kernel
-    projector (see :mod:`chanfact.linalg`). Requires a trace-preserving channel.
+    projector, factored from its rows (see :mod:`chanfact.linalg`). Requires a
+    trace-preserving channel.
     """
     if not channel_checks(k, tol).trace_preserving:
         raise NotTracePreserving("kernel basis requires a trace-preserving channel")
     return _hermitian_kernel(k, tol)
 
-
-def is_extreme_channel(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Extreme point test: the complement adjoint is injective on M_p.
-
-    Tests the Kraus family as given; a linearly dependent family always
-    reports False, so pass a minimal (Choi-derived) family to test the map
-    itself. Requires a trace-preserving channel.
-    """
-    return len(selfadjoint_kernel_basis(k, tol)) == 0

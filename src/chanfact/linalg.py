@@ -7,13 +7,20 @@ Conventions used throughout the package:
 - Every factor and basis the package prints is the echelon factor R of a PSD
   matrix G = R* R: row t is zero before its pivot column, where it is real and
   positive, the columns are taken in index order, and a column is skipped when
-  its pivot is at or below ``rel_rank_tol`` times G's largest diagonal entry.
-  This factor is unique, so it moves only by rounding when G does, and the
-  pivots it keeps are the rank of the factor. Two routines compute it with
-  that one pivot rule: :func:`psd_factor`, the in-order pivoted Cholesky of
-  G, and :func:`_root_echelon`, the in-order Gram-Schmidt of a root m with
-  G = m* m, whose squared residuals are the pivots without squaring m's
-  conditioning.
+  its residual against the kept columns is at or below the cut. This factor is
+  unique, so it moves only by rounding when G does. One routine computes it,
+  :func:`_root_echelon`, the in-order Gram-Schmidt of a root m with G = m* m,
+  so G's squared conditioning never enters. Its cut has two scales:
+
+  - located: where a spectrum has decided the rank (the kernel, the
+    isometry completion, :func:`psd_factor`), the root has one row per rank
+    and the pivots only locate the kept columns; a column is kept when its
+    residual norm exceeds ``rel_rank_tol`` times m's largest column norm,
+    the scale of the singular values that decided the rank;
+  - decided: otherwise (the blocks of a certificate) the pivots decide the
+    rank; a column is kept when its squared residual, its pivot, exceeds
+    ``rel_rank_tol`` times G's largest diagonal entry, the scale of G's
+    eigenvalues.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ class Tolerance:
         operators, certificate residuals, coefficient traces, a correlation
         diagonal's distance from 1 and the worked example's residuals.
     :param rel_rank_tol: relative threshold for rank decisions, on singular
-        values, eigenvalues and echelon pivots.
+        values, eigenvalues and echelon residuals.
     """
 
     abs_tol: float = 1e-9
@@ -112,18 +119,23 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 def _require_hermitian(h: np.ndarray, tol: Tolerance) -> float:
     """``||h||_F``; raises NotHermitian unless ``||h - h*||_F`` is close to 0 at that scale."""
     with np.errstate(over="ignore"):  # an overflowing difference is an infinite gap
-        gap = frob(h - h.conj().T)
-    norm = frob(h)
+        diff = h - h.conj().T
+        gap, norm = math.sqrt(np.vdot(diff, diff).real), math.sqrt(np.vdot(h, h).real)
+        if math.isinf(gap) or math.isinf(norm):  # squares beyond the float range
+            gap, norm = frob(diff), frob(h)
     if not tol.close(gap, norm):
         raise NotHermitian(f"matrix deviates from Hermitian by {gap:.3e} at norm {norm:.3e}")
     return norm
 
 
 def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The echelon factor b (rank x n) of a PSD matrix, ``p = b* @ b``.
+    """The echelon factor b (rank x n) of a PSD matrix, ``p = b* @ b`` but for dropped eigenvalues.
 
-    The rank is the number of pivots the echelon factor keeps, so b has full
-    row rank; the eigenvalues only decide whether ``p`` is PSD.
+    The PSD flag and the rank come from one eigendecomposition, as in
+    :func:`~chanfact.lmi.lmi_membership`: the rank is the :func:`spectral_rank`
+    of the eigenvalues, a tolerated negative one counting as zero, and b is
+    the echelon factor of the root sqrt(w) V* of the kept eigenpairs, so b
+    has full row rank.
 
     Raises NotHermitian if ``p`` is not Hermitian within tolerance, NotPSD
     unless minus its smallest eigenvalue is close to 0 at scale ``||p||_F``,
@@ -132,12 +144,14 @@ def psd_factor(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     p = _as_square(p)
     norm = _require_hermitian(p, tol)
     try:
-        w = np.linalg.eigvalsh(p)
+        w, v = np.linalg.eigh(p)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     if w.size and not tol.close(-w[0], norm):
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} below {-tol.abs_tol * max(1.0, norm):.3e}")
-    return _echelon_factor(p, tol)
+    rank = spectral_rank(np.maximum(w, 0.0), tol)
+    kept = slice(len(w) - rank, None)
+    return _root_echelon((v[:, kept] * np.sqrt(w[kept])).conj().T, tol, rank)
 
 
 def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -148,104 +162,88 @@ def spectral_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     decomposition. Raises NoConvergence unless every value is finite: no cut
     relative to an infinite or NaN largest value counts anything.
     """
-    a = np.abs(np.asarray(values))
+    a = np.abs(values)
     if a.size == 0:
         return 0
-    if not np.isfinite(a).all():
+    top = np.maximum.reduce(a)  # NaN if any value is
+    if not math.isfinite(top):
         raise NoConvergence("spectrum is not finite")
-    top = a.max()
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(a > tol.rel_rank_tol * top))
 
 
-def _echelon_factor(g: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
-    """The echelon factor R (rank x n) of a PSD matrix g = R* R; see the module docstring.
-
-    With ``rank`` None every pivot above the cut is kept. A given ``rank``
-    means g is a projector of that rank, decided by the caller from a
-    spectrum: a count of kept pivots off the rank is decided again by
-    :func:`_root_echelon` with g as its own root (g = g* g), whose pivots err
-    by rounding where the Cholesky's err by rounding over the smallest kept
-    pivot, and another count still raises NoConvergence; then R <- U^-1 R with
-    R R* = U U*, U upper triangular, restores the orthonormality that small
-    pivots cost and keeps the echelon form.
-    """
-    n = len(g)
-    if rank == 0:
-        return np.zeros((0, n), dtype=g.dtype)
-    cut = tol.rel_rank_tol * g.diagonal().real.max(initial=0.0)
-    r = np.zeros((n, n), dtype=g.dtype)
-    kept = 0
-    for start in range(0, n, _PANEL):
-        first, panel = kept, slice(start, start + _PANEL)
-        rows = g[panel, start:].copy()
-        if first:
-            rows -= r[:first, panel].conj().T @ r[:first, start:]
-        width = len(rows)
-        # the panel's square block is updated per kept row, a row's tail once it is kept
-        for i, row in enumerate(rows):
-            if row[i].real > cut:
-                j, root = start + i, math.sqrt(row[i].real)
-                if start + width < n:
-                    row[width:] -= r[first:kept, j].conj() @ r[first:kept, start + width :]
-                r[kept, j:] = row[i:] / root
-                r[kept, j] = root
-                x = r[kept, j + 1 : start + width]
-                rows[i + 1 :, i + 1 : width] -= np.multiply.outer(x.conj(), x)
-                kept += 1
-    if rank is None:
-        return r[:kept]
-    if kept != rank:
-        r = _root_echelon(g, tol)
-        kept = len(r)
-    if kept != rank:
-        raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
-    r = r[:rank]
-    u = np.linalg.cholesky((r @ r.conj().T)[::-1, ::-1])[::-1, ::-1]
-    for stop in range(rank, 0, -_PANEL):  # r <- u^-1 r, one panel of rows at a time
-        block = slice(max(stop - _PANEL, 0), stop)
-        r[block] = np.linalg.solve(u[block, block], r[block] - u[block, stop:] @ r[stop:])
-    return r
-
-
-def _root_echelon(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _root_echelon(m: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
     """The echelon factor R (rank x n) of m* m from the in-order Gram-Schmidt of m's columns.
 
-    Column j is kept when its squared residual, its pivot, exceeds
-    ``rel_rank_tol`` times m's largest squared column norm, the largest
-    diagonal entry of m* m. R = W* m for the orthonormal residuals W, each
-    row's entries before its pivot, zero in exact arithmetic, set to zero and
-    its pivot made real. Factoring the root keeps m's conditioning, where the
-    Cholesky of m* m squares it.
+    Column j is kept when its residual against the kept columns is above the
+    cut of the module docstring: located when ``rank`` is given, which must
+    then be the count kept (NoConvergence otherwise), decided when it is None.
+    The columns go one panel at a time: two products project a panel on the
+    directions kept before it, then each column is projected on those kept
+    inside the panel. A projection is repeated only where it removed more
+    than half of a squared norm ("twice is enough"). R holds the projection
+    coefficients, zero before each row's real positive pivot; once the kept
+    directions span m's rows, the rest of R is one product.
     """
-    cut = tol.rel_rank_tol * (m.real**2 + m.imag**2).sum(axis=0).max(initial=0.0)
-    w = np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    pivots = []
-    for j, x in enumerate(m.T):
-        if pivots:
-            done = w[: len(pivots)]
-            dual = done.conj()
-            x = x - done.T @ (dual @ x)
-            x -= done.T @ (dual @ x)  # the second pass restores the orthogonality the first loses
-        pivot = np.vdot(x, x).real
-        if pivot > cut:
-            w[len(pivots)] = x / math.sqrt(pivot)
-            pivots.append(j)
-    r = w[: len(pivots)].conj() @ m
-    for t, j in enumerate(pivots):
-        r[t, :j] = 0.0
-        r[t, j] = r[t, j].real
-    return r
+    rows, n = m.shape
+    norms = np.add.reduce((m.conj() * m).real).tolist()
+    scale = tol.rel_rank_tol if rank is None else tol.rel_rank_tol**2
+    cut = scale * max(norms, default=0.0)
+    size = min(rows, n)
+    w = np.empty((size, rows), dtype=m.dtype)  # the kept directions, one per row
+    r = np.zeros((size, n), dtype=m.dtype)
+    kept = stop = 0
+    while stop < n and kept < rows:
+        start, stop = stop, min(stop + _PANEL, n)
+        panel = m[:, start:stop].T.copy()  # one column of m per row
+        coeffs = r[:, start:stop]
+        norm = norms[start:stop]
+        if kept:
+            coeffs[:kept] = (w[:kept] @ panel.conj().T).conj()
+            panel -= coeffs[:kept].T @ w[:kept]
+            left = (panel.conj() * panel).real.sum(axis=1)
+            again = np.flatnonzero(left < 0.5 * np.array(norm))
+            if len(again):
+                more = (w[:kept] @ panel[again].conj().T).conj()
+                panel[again] -= more.T @ w[:kept]
+                coeffs[:kept, again] += more
+            norm = left.tolist()
+        first = kept
+        for i, x in enumerate(panel):
+            if kept > first:
+                c = w[first:kept].dot(x.conj()).conj()
+                x -= c.dot(w[first:kept])
+                coeffs[first:kept, i] = c
+            pivot = np.vdot(x, x).real
+            if pivot < 0.5 * norm[i]:
+                c = w[:kept].dot(x.conj()).conj()
+                x -= c.dot(w[:kept])
+                coeffs[:kept, i] += c
+                pivot = np.vdot(x, x).real
+            if pivot > cut:
+                root = math.sqrt(pivot)
+                np.divide(x, root, out=w[kept])
+                coeffs[kept, i] = root
+                kept += 1
+                if kept == rows:  # the kept directions span m's rows
+                    stop = start + i + 1
+                    break
+    if stop < n:
+        r[:, stop:] = w.dot(m[:, stop:].conj()).conj()
+    if rank is not None and kept != rank:
+        raise NoConvergence(f"echelon factor keeps {kept} pivots, expected rank {rank}")
+    return r[:kept]
 
 
 def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Complete an isometry ``v`` (N x c, v* v = I_c) to an N x N unitary.
 
     The added columns are R* for the orthonormal echelon factor R of
-    I - v v*: in exact arithmetic, the Gram-Schmidt of the standard basis
-    vectors against range(v), taken in index order and skipping dependents.
-    The first c columns of the result equal ``v``.
+    I - v v*, factored from its root, the complement rows of v's complete QR:
+    in exact arithmetic, the Gram-Schmidt of the standard basis vectors
+    against range(v), taken in index order and skipping dependents. The
+    first c columns of the result equal ``v``.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
@@ -254,5 +252,6 @@ def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     defect = frob(v.conj().T @ v - np.eye(c))
     if not tol.close(defect, frob(v)):
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e}")
-    rest = _echelon_factor(np.eye(n) - v @ v.conj().T, tol, n - c)
+    q = np.linalg.qr(v, mode="complete")[0]
+    rest = _root_echelon(q[:, c:].conj().T, tol, n - c)
     return np.hstack([v, rest.conj().T])

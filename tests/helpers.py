@@ -300,6 +300,29 @@ def hermitian_coefficients(h):
     return np.concatenate([np.diag(h).real, off.real, off.imag])
 
 
+def reference_echelon_factor(g, tol=DEFAULT_TOL):
+    """The echelon factor R of a PSD matrix g = R* R by the in-order pivoted Cholesky.
+
+    Column j is skipped when its pivot is at or below ``rel_rank_tol`` times
+    g's largest diagonal entry, the decided cut of ``linalg._root_echelon``.
+    The reference for that Gram-Schmidt of a root: the same unique factor,
+    from g itself, so with g's squared conditioning.
+    """
+    g = np.array(g, dtype=complex)
+    n = len(g)
+    cut = tol.rel_rank_tol * g.diagonal().real.max(initial=0.0)
+    rows = []
+    for j in range(n):
+        pivot = g[j, j].real
+        if pivot > cut:
+            row = np.zeros(n, dtype=complex)
+            row[j:] = g[j, j:] / math.sqrt(pivot)
+            row[j] = math.sqrt(pivot)
+            g[j:, j:] -= np.outer(row[j:].conj(), row[j:])
+            rows.append(row)
+    return np.array(rows).reshape(len(rows), n)
+
+
 def smallest_kept_pivot(basis, tol=DEFAULT_TOL):
     """The smallest pivot the echelon factor of a kernel basis keeps; 1.0 for d = 0.
 
@@ -310,14 +333,8 @@ def smallest_kept_pivot(basis, tol=DEFAULT_TOL):
     """
     p = basis.shape[1]
     c = np.array([hermitian_coefficients(h) for h in basis]).reshape(len(basis), p * p)
-    g = c.T @ c
-    cut = tol.rel_rank_tol * g.diagonal().max(initial=0.0)
-    pivots = []
-    for j in range(len(g)):
-        if g[j, j] > cut:
-            pivots.append(math.sqrt(g[j, j]))
-            g = g - np.outer(g[:, j], g[j]) / g[j, j]
-    return min(pivots, default=1.0)
+    r = reference_echelon_factor(c.T @ c, tol)
+    return min((row[np.flatnonzero(row)[0]].real for row in r), default=1.0)
 
 
 def _hermitian_units(p):

@@ -25,7 +25,6 @@ from chanfact import (
     hm_derived_point,
     hm_equation_residuals,
     hm_example,
-    is_extreme_channel,
     kraus_from_choi,
     lmi_eval,
     lmi_membership,
@@ -257,16 +256,16 @@ def test_criterion_8_extreme_channel_test(capsys):
     rng = np.random.default_rng(108)
     ok = True
     for n in (2, 3, 4):
-        ok = ok and is_extreme_channel(KrausChannel((haar_unitary(rng, n),)))
+        ok = ok and len(selfadjoint_kernel_basis(KrausChannel((haar_unitary(rng, n),)))) == 0
     _, channel, _, _ = hm_setup()
-    ok = ok and not is_extreme_channel(channel)
+    ok = ok and len(selfadjoint_kernel_basis(channel)) != 0
     mixtures_false = True
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         u1 = KrausChannel((haar_unitary(rng, 3),))
         u2 = KrausChannel((haar_unitary(rng, 3),))
-        mixtures_false = mixtures_false and not is_extreme_channel(
-            convex_combine_channels(u1, u2, t)
-        )
+        mixtures_false = mixtures_false and len(
+            selfadjoint_kernel_basis(convex_combine_channels(u1, u2, t))
+        ) != 0
     ok = ok and mixtures_false
     report(capsys, 8, ok, "unitary conjugations extreme, HM and two-unitary mixtures not")
 

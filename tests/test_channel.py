@@ -94,13 +94,13 @@ def test_kraus_from_choi_is_minimal():
 
 
 @pytest.mark.parametrize("g, tol", [(1.5e-9, Tolerance()), (0.15, Tolerance(rel_rank_tol=0.1))])
-def test_kraus_from_choi_keeps_a_pivot_the_eigenvalue_cut_drops(g, tol):
-    # Choi eigenvalues 2 - g and g: g is at or below rel_rank_tol * (2 - g), but
-    # the second pivot g is above rel_rank_tol times the largest diagonal entry 1
+def test_kraus_from_choi_rank_is_the_eigenvalue_count(g, tol):
+    # Choi eigenvalues 2 - g and g: g is at or below rel_rank_tol * (2 - g), so
+    # one Kraus operator is kept and the Choi matrix loses that eigenvalue
     c = choi_from_kraus(amplitude_damping(g))
     k = kraus_from_choi(c, tol)
-    assert k.num_kraus == 2
-    assert frob(choi_from_kraus(k).matrix - c.matrix) < 1e-15
+    assert k.num_kraus == 1
+    assert frob(choi_from_kraus(k).matrix - c.matrix) == pytest.approx(g, rel=1e-6)
 
 
 def test_kraus_from_choi_rejects_indefinite():

@@ -90,14 +90,17 @@ def test_choi_and_kraus_roundtrip(tmp_path, capsys):
     assert len(doc["kraus"]) == 2
 
 
-def test_kraus_with_a_coarse_rank_tolerance(tmp_path, capsys):
+def test_kraus_rank_tolerance_cuts_the_choi_eigenvalues(tmp_path, capsys):
     # amplitude damping, g = 0.15: its Choi eigenvalue g is below 0.1 * (2 - g),
-    # its pivot g above 0.1, so the echelon factor keeps both Kraus operators
+    # so a coarse rank tolerance keeps one Kraus operator of the two
     choi = choi_from_kraus(amplitude_damping(0.15))
     choi_path = write(tmp_path / "choi.json", jsonio.choi_to_json(choi))
-    code, doc, _ = run(capsys, "kraus", "-i", choi_path, "--rank-tol", "0.1")
+    code, doc, _ = run(capsys, "kraus", "-i", choi_path)
     assert code == 0
     assert len(doc["kraus"]) == 2
+    code, doc, _ = run(capsys, "kraus", "-i", choi_path, "--rank-tol", "0.1")
+    assert code == 0
+    assert len(doc["kraus"]) == 1
 
 
 def test_apply_and_adjoint(tmp_path, capsys):

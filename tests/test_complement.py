@@ -9,7 +9,6 @@ from chanfact import (
     channel_from_dilation,
     frob,
     hm_example,
-    is_extreme_channel,
     schur_channel_from_gram,
     selfadjoint_kernel_basis,
 )
@@ -127,7 +126,6 @@ def test_selfadjoint_kernel_basis_matches_greedy_reference():
         dims[name] = d
         assert d == len(reference), name
         assert d == p * p - rank_tol(reference_adjoint_operator_matrix(k)), name
-        assert is_extreme_channel(k) == (d == 0), name
         if d == 0:
             continue
         flat = np.array([h.ravel() for h in basis])
@@ -164,6 +162,20 @@ def test_selfadjoint_kernel_basis_is_the_echelon_form_of_the_svd_kernel():
         assert all(c[j] > 0.0 for c, j in zip(coeffs, pivots))
 
 
+def test_kernel_basis_of_a_mixed_dilation_channel_is_annihilated():
+    # seed 405, built as in test_kraus_mixing_acts_covariantly_on_the_kernel:
+    # after the kernel projector's first two columns, the next two keep
+    # residuals of norm 7e-6, pivots of 5e-11, which a cut on the pivots at
+    # rel_rank_tol drops from the basis
+    rng = np.random.default_rng(405)
+    channel = channel_from_dilation(haar_unitary(rng, 8), 4, 2)
+    u = haar_unitary(rng, channel.num_kraus)
+    mixed = KrausChannel(np.tensordot(u, channel.operators, 1))
+    basis = selfadjoint_kernel_basis(mixed)
+    assert len(basis) == 3
+    assert max(frob(apply_complement_adjoint(mixed, z)) for z in basis) <= 1e-12
+
+
 def test_selfadjoint_kernel_basis_requires_tp():
     with pytest.raises(NotTracePreserving):
         selfadjoint_kernel_basis(KrausChannel((np.eye(2) * 0.4,)))
@@ -187,13 +199,13 @@ def test_unitary_mixing_of_kraus_conjugates_complement():
 def test_is_extreme_channel():
     rng = np.random.default_rng(26)
     u = haar_unitary(rng, 3)
-    assert is_extreme_channel(KrausChannel((u,)))
-    assert not is_extreme_channel(dephasing())
+    assert len(selfadjoint_kernel_basis(KrausChannel((u,)))) == 0
+    assert len(selfadjoint_kernel_basis(dephasing())) != 0
     # a generic pair of Kraus operators on M_3 keeps the four products independent
-    assert is_extreme_channel(random_tp_channel(rng, 3, 2))
+    assert len(selfadjoint_kernel_basis(random_tp_channel(rng, 3, 2))) == 0
     # mixing two unitaries repeats the identity product
     u2 = haar_unitary(rng, 3)
     mix = KrausChannel((np.sqrt(0.5) * u, np.sqrt(0.5) * u2))
-    assert not is_extreme_channel(mix)
+    assert len(selfadjoint_kernel_basis(mix)) != 0
     with pytest.raises(NotTracePreserving):
-        is_extreme_channel(KrausChannel((u * 0.2,)))
+        selfadjoint_kernel_basis(KrausChannel((u * 0.2,)))

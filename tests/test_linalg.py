@@ -12,7 +12,7 @@ from chanfact import (
     frob,
     psd_factor,
 )
-from chanfact.linalg import _echelon_factor, _root_echelon, spectral_rank
+from chanfact.linalg import _root_echelon, spectral_rank
 from helpers import (
     complex_gaussian,
     kron,
@@ -22,6 +22,7 @@ from helpers import (
     random_tp_channel,
     rank_tol,
     reference_complete_isometry,
+    reference_echelon_factor,
     unvec,
     vec,
 )
@@ -175,55 +176,60 @@ def assert_echelon(r):
 
 
 def test_echelon_factor_reproduces_psd_matrix():
+    # 63, 64, 65 and 129 columns cross the panel edges; a root with fewer rows
+    # than columns ends with the one-product finish
     rng = np.random.default_rng(72)
-    for n, rows in ((1, 1), (4, 2), (6, 6), (9, 3), (40, 7), (150, 100)):
+    cases = ((1, 1), (4, 2), (6, 6), (9, 3), (40, 7), (150, 100))
+    cases += ((63, 63), (64, 30), (65, 65), (65, 80), (129, 100), (129, 129))
+    for n, rows in cases:
         b = complex_gaussian(rng, (rows, n))
         b[:, 1 : min(3, n)] = 0.0  # zero columns must be skipped
         g = b.conj().T @ b
         rank = rank_tol(g)
-        r = _echelon_factor(g, Tolerance())
+        r = _root_echelon(b, Tolerance())
         assert r.shape == (rank, n)
         assert_echelon(r)
         assert frob(r.conj().T @ r - g) <= 1e-11 * frob(g)
-        # the Gram-Schmidt of the root b gives the same unique factor
-        assert frob(_root_echelon(b, Tolerance()) - r) <= 1e-11 * frob(r)
+        assert frob(reference_echelon_factor(g) - r) <= 1e-11 * frob(r)
+        # the rank is located, not decided, when it is given
+        assert frob(_root_echelon(b, Tolerance(), rank) - r) <= 1e-12 * frob(r)
 
 
 def test_echelon_factor_of_projector_is_orthonormal():
     rng = np.random.default_rng(73)
-    for n, rank in ((5, 2), (64, 30), (200, 131)):
+    for n, rank in ((5, 2), (63, 20), (64, 30), (65, 64), (129, 100), (200, 131)):
         q = random_isometry(rng, n, rank)
-        q[:3] *= 1e-4  # small leading pivots cost the Cholesky its orthonormality
+        q[:3] *= 1e-4  # small leading pivots, where a Cholesky of the projector loses orthonormality
         q, _ = np.linalg.qr(q)
-        r = _echelon_factor(q @ q.conj().T, Tolerance(), rank)
+        r = _root_echelon(q.conj().T, Tolerance(), rank)
         assert_echelon(r)
         assert np.abs(r @ r.conj().T - np.eye(rank)).max() <= 1e-13
         assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-12
 
 
 def test_echelon_factor_of_projector_with_a_tiny_pivot():
-    # rows 0 and 1 of the isometry nearly agree, so pivot 1 is about 1e-8: the
-    # Cholesky of the projector then carries rounding of about 1e-8 into the
-    # later, dependent pivots, above the 1e-9 cut
+    # rows 0 and 1 of the isometry nearly agree, so pivot 1 is about 1e-8: a
+    # Cholesky of the projector (reference_echelon_factor) carries rounding of
+    # about 1e-8 into the later, dependent pivots, the Gram-Schmidt of its rows 1e-16
     rng = np.random.default_rng(76)
     for _ in range(10):
         q = random_isometry(rng, 40, 20)
         q[1] = q[0] + 1e-4 * complex_gaussian(rng, 20)
         q, _ = np.linalg.qr(q)
-        r = _echelon_factor(q @ q.conj().T, Tolerance(), 20)
+        r = _root_echelon(q.conj().T, Tolerance(), 20)
         assert assert_echelon(r)[:2] == [0, 1]
         assert np.abs(r @ r.conj().T - np.eye(20)).max() <= 1e-13
-        assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-11
+        assert frob(r.conj().T @ r - q @ q.conj().T) <= 1e-13
 
 
 def test_echelon_factor_row_count_is_the_decided_rank():
     rng = np.random.default_rng(74)
-    q = random_isometry(rng, 8, 3)
-    g = q @ q.conj().T
+    m = random_isometry(rng, 8, 3).conj().T
     for wrong in (2, 4):
         with pytest.raises(NoConvergence):
-            _echelon_factor(g, Tolerance(), wrong)
-    assert _echelon_factor(g, Tolerance(), 0).shape == (0, 8)
+            _root_echelon(m, Tolerance(), wrong)
+    assert _root_echelon(m, Tolerance(), 3).shape == (3, 8)
+    assert _root_echelon(m[:0], Tolerance(), 0).shape == (0, 8)
 
 
 def test_complete_isometry_matches_gram_schmidt_loop():

@@ -6,6 +6,7 @@ from chanfact import (
     DimensionMismatch,
     LmiPoint,
     LmiSystem,
+    NoConvergence,
     NotInSpan,
     NotHermitian,
     NotInSpectrahedron,
@@ -13,6 +14,7 @@ from chanfact import (
     RankTooHigh,
     apply_channel,
     build_lmi,
+    certificate_from_point,
     dilation_certificate,
     channel_checks,
     extract_blocks,
@@ -288,3 +290,26 @@ def test_face_channel_matches_loop_transfer():
     assert faced.num_kraus == len(expected)
     for got, want in zip(faced.operators, expected):
         assert frob(got - want) < 1e-13
+
+
+def test_membership_and_extraction_agree_at_the_rank_cut():
+    # the HM point scaled by 1 - delta: the pencil value's small eigenvalues
+    # cross the rank cut on this grid, and lmi-check, extract and extremality
+    # must count the same rank there
+    hm = hm_example()
+    channel = schur_channel_from_gram(hm.w)
+    s = LmiSystem(3, hm.z)
+    base = np.asarray(hm_derived_point())
+    disagree = []
+    for delta in np.geomspace(1e-11, 1e-7, 400):
+        point = LmiPoint(2, (1.0 - delta) * base)
+        member = lmi_membership(s, point)
+        try:
+            extract_blocks(s, point)
+            certificate_from_point(channel, s, point)
+            factored = True
+        except (NotPSD, RankTooHigh, NoConvergence):
+            factored = False
+        if (member.psd and member.rank <= 2) != factored:
+            disagree.append(float(delta))
+    assert not disagree

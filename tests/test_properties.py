@@ -32,7 +32,6 @@ from chanfact import (  # noqa: E402
     gram_from_correlation,
     hm_derived_point,
     hm_example,
-    is_extreme_channel,
     kraus_from_choi,
     lmi_eval,
     lmi_membership,
@@ -148,7 +147,7 @@ def test_schur_kernel_dimension_is_li_tam_defect(shape, seed):
     outer = np.array([np.outer(v, v.conj()).ravel() for v in drawn.vectors])
     drawn_outer = c.rank**2 - rank_tol(outer)
     assert d == via_outer == via_images == drawn_outer
-    assert is_extreme_channel(channel) == (d == 0)
+    assert len(selfadjoint_kernel_basis(channel)) == d
     event(f"d = {d}")
 
 
@@ -156,7 +155,7 @@ def test_hm_li_tam_defect_is_three():
     hm = hm_example()
     channel = schur_channel_from_gram(hm.w)
     assert li_tam_dimensions(hm.w, channel) == (3, 3, 3)
-    assert not is_extreme_channel(channel)
+    assert len(selfadjoint_kernel_basis(channel)) == 3
 
 
 @st.composite

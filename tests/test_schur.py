@@ -56,14 +56,14 @@ def test_correlation_rank_is_the_gram_vector_count():
 
 
 @pytest.mark.parametrize("a, tol", [(1 - 1e-9, Tolerance()), (0.92, Tolerance(rel_rank_tol=0.1))])
-def test_correlation_rank_follows_the_pivots(a, tol):
+def test_correlation_rank_is_the_eigenvalue_count(a, tol):
     # eigenvalues 1 + a and 1 - a: 1 - a is at or below rel_rank_tol * (1 + a),
-    # but the second pivot 1 - a^2 is above rel_rank_tol
+    # so one Gram coordinate is kept and the Gram matrix loses that eigenvalue
     m = np.array([[1.0, a], [a, 1.0]])
     c = validate_correlation(m, tol)
     w = gram_from_correlation(c)
-    assert c.rank == w.p == 2
-    assert frob(w.vectors.conj() @ w.vectors.T - m) < 1e-15
+    assert c.rank == w.p == 1
+    assert frob(w.vectors.conj() @ w.vectors.T - m) == pytest.approx(1 - a, rel=1e-6)
 
 
 def test_gram_correlation_roundtrip():
