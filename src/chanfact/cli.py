@@ -312,10 +312,10 @@ def _hm_verification(tol: Tolerance) -> tuple[dict, int]:
         proj = sum(np.vdot(b, z).real * b for b in basis) if len(basis) else 0.0 * z
         span_residuals.append(frob(z - proj))
         annihilation_residuals.append(frob(apply_complement_adjoint(channel, z)))
-    a1, a2, a3 = hm_derived_point()
-    equation_residuals = list(hm_equation_residuals(a1, a2, a3))
+    a = hm_derived_point()
+    equation_residuals = list(hm_equation_residuals(*a))
     system = LmiSystem(channel.num_kraus, hm.z)
-    point = LmiPoint(2, (a1, a2, a3))
+    point = LmiPoint(2, a)
     mem = lmi_membership(system, point, tol)
     cert = certificate_from_point(channel, system, point, tol)
     report = verify_certificate(channel, cert, tol)

@@ -2,16 +2,18 @@
 
 A certificate for a channel with Kraus operators {K_i}_{i=1..p} over the
 algebra N = (+)_k (M_{i_k}, q_k) holds one block V_i^(k) per Kraus index and
-factor. It is valid when the V_i are orthonormal in the normalized tracial
-state tau((+)_k A_k) = sum_k q_k Tr(A_k)/i_k and U = sum_i K_i (x) V_i is
-unitary factor by factor; equivalently, sum_ij x_ij V_j* V_i = Tr(X) I for
-every X in the range of the complementary channel. Verification reads both
-off one product U_f* U_f per factor.
+factor, one p x i_k x i_k stack per factor. It is valid when the V_i are
+orthonormal in the normalized tracial state tau((+)_k A_k) =
+sum_k q_k Tr(A_k)/i_k and U = sum_i K_i (x) V_i is unitary factor by factor;
+equivalently, sum_ij x_ij V_j* V_i = Tr(X) I for every X in the range of the
+complementary channel. Verification reads both off one product U_f* U_f per
+factor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,7 @@ from .channel import (
     convex_combine_channels,
 )
 from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
-from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, frob
+from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, _stack, frob
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -35,50 +37,60 @@ class FactorAlgebra:
     factors: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((int(d), float(q)) for d, q in self.factors)
-        if not factors:
+        if not self.factors:
             raise DimensionMismatch("algebra needs at least one factor")
-        for f, (d, q) in enumerate(factors):
+        factors = []
+        for f, (d, q) in enumerate(self.factors):
+            try:
+                d = operator.index(d)
+            except TypeError:
+                raise DimensionMismatch(f"factor {f}: dimension {d!r} is not an integer") from None
+            q = float(q)
             if d < 1:
                 raise DimensionMismatch(f"factor {f}: dimension must be positive, got {d}")
             if not np.isfinite(q) or q <= 0.0:
                 raise ValueError(f"factor {f}: weight must be positive and finite, got {q!r}")
+            factors.append((d, q))
         total = sum(q for _, q in factors)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"factor weights sum to {total!r}, expected 1")
-        self.factors = factors
+        self.factors = tuple(factors)
 
     @property
     def num_factors(self) -> int:
         return len(self.factors)
 
 
-@dataclass
+@dataclass(init=False)
 class FactorizationCertificate:
-    """Per-Kraus-index block elements of a factor algebra."""
+    """Blocks V_i^(f) of a factor algebra, ``blocks[f]`` one C-contiguous complex
+    p x d_f x d_f stack per factor. The constructor takes them per Kraus index,
+    ``elements[i][f]`` = V_i^(f) as in the JSON schema; :attr:`elements` is
+    that layout again, as views of the stacks."""
 
     algebra: FactorAlgebra
-    elements: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        rows = []
-        for i, element in enumerate(self.elements):
-            blocks = tuple(np.asarray(blk, dtype=complex) for blk in element)
-            if len(blocks) != self.algebra.num_factors:
-                raise DimensionMismatch(f"element {i}: {len(blocks)} blocks, not one per factor")
-            for (d, _), blk in zip(self.algebra.factors, blocks):
-                if blk.shape != (d, d):
-                    raise DimensionMismatch(
-                        f"element {i}: block of shape {blk.shape} does not fit factor M_{d}"
-                    )
-            rows.append(blocks)
-        if not rows:
+    def __init__(self, algebra: FactorAlgebra, elements) -> None:
+        for i, element in enumerate(elements):
+            if len(element) != algebra.num_factors:
+                raise DimensionMismatch(f"element {i}: {len(element)} blocks, not one per factor")
+        if not len(elements):
             raise DimensionMismatch("certificate needs at least one element")
-        self.elements = tuple(rows)
+        self.algebra = algebra
+        self.blocks = tuple(
+            _stack(family, (d, d), f"factor {f} blocks")
+            for f, ((d, _), family) in enumerate(zip(algebra.factors, zip(*elements)))
+        )
+
+    @property
+    def elements(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per Kraus index i, the blocks (V_i^(1), ..., V_i^(m)): views of :attr:`blocks`."""
+        return tuple(zip(*self.blocks))
 
     @property
     def num_elements(self) -> int:
-        return len(self.elements)
+        return len(self.blocks[0])
 
 
 @dataclass(frozen=True)
@@ -89,33 +101,21 @@ class CertificateReport:
     passed: bool
 
 
-def _block_stacks(cert: FactorizationCertificate) -> list[np.ndarray]:
-    """Per factor f, the blocks V_i^(f) stacked into a p x d_f x d_f array."""
-    return [
-        np.array([element[f] for element in cert.elements])
-        for f in range(cert.algebra.num_factors)
-    ]
-
-
 def verify_certificate(
     k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance = DEFAULT_TOL
 ) -> CertificateReport:
     """Check orthonormality, the complement-range identity, and unitarity.
 
-    Per factor f, with U_f = sum_i K_i (x) V_i, block (b, c) of U_f* U_f is
-    sum_ij (K_i* K_j)_bc V_i* V_j, the complement identity's left-hand side at
-    X = Phi^c(E_cb), whose trace is (sum_i K_i* K_i)_bc. The complement
+    Per factor f, with U_f = sum_i K_i (x) V_i over the stack ``cert.blocks[f]``,
+    block (b, c) of U_f* U_f is sum_ij (K_i* K_j)_bc V_i* V_j, the complement
+    identity's left-hand side at X = Phi^c(E_cb), whose trace is
+    (sum_i K_i* K_i)_bc. The complement
     residual is the largest Frobenius norm over (b, c, f) of that block minus
     its trace times I; the unitarity residual is the Frobenius norm of
     U_f* U_f - I over all factors together; the inner products tau(V_i* V_j)
     are weighted traces Tr(V_i* V_j). The three residuals are reported
     unconditionally; ``passed`` is true when all of them are close to 0.
     """
-    return _verify(k, cert, tol)[0]
-
-
-def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> tuple:
-    """The report, the block stacks, and per factor the p x p traces Tr(V_i* V_j)."""
     n = k.dim_in
     if k.dim_out != n:
         raise DimensionMismatch("factorization certificates require square channels")
@@ -127,14 +127,11 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
     column = k.operators.reshape(p * n, n)
     defect = column.conj().T @ column
 
-    stacks = _block_stacks(cert)
     inner = np.zeros((p, p), dtype=complex)
-    traces = []
     compl = unit_sq = 0.0
-    for (d, q), v in zip(cert.algebra.factors, stacks):
+    for (d, q), v in zip(cert.algebra.factors, cert.blocks):
         flat = v.reshape(p, d * d)
-        traces.append(flat.conj() @ flat.T)
-        inner += (q / d) * traces[-1]
+        inner += (q / d) * (flat.conj() @ flat.T)
         u = np.einsum("iab,ixy->axby", k.operators, v).reshape(n * d, n * d)
         gram = u.conj().T @ u
         r = gram.reshape(n, d, n, d) - defect[:, None, :, None] * np.eye(d)[:, None, :]
@@ -142,8 +139,7 @@ def _verify(k: KrausChannel, cert: FactorizationCertificate, tol: Tolerance) -> 
         unit_sq += frob(gram - np.eye(n * d)) ** 2
     orth = float(np.abs(inner - np.eye(p)).max())
     unit = float(np.sqrt(unit_sq))
-
-    return CertificateReport(orth, compl, unit, tol.close(max(orth, compl, unit))), stacks, traces
+    return CertificateReport(orth, compl, unit, tol.close(max(orth, compl, unit)))
 
 
 def certificate_from_point(
@@ -160,7 +156,7 @@ def certificate_from_point(
     if not tol.close(trace_norm):
         raise TraceNotZero(f"coefficient traces reach {trace_norm:.3e}")
     algebra = FactorAlgebra(((point.k, 1.0),))
-    return FactorizationCertificate(algebra, tuple((blk,) for blk in blocks))
+    return FactorizationCertificate(algebra, blocks[:, None])
 
 
 def combine_certificates(
@@ -186,17 +182,12 @@ def combine_certificates(
     factors = tuple((d, t * q) for d, q in cert1.algebra.factors) + tuple(
         (d, (1.0 - t) * q) for d, q in cert2.algebra.factors
     )
-    algebra = FactorAlgebra(factors)
-    zeros1 = tuple(np.zeros((d, d), dtype=complex) for d, _ in cert1.algebra.factors)
-    zeros2 = tuple(np.zeros((d, d), dtype=complex) for d, _ in cert2.algebra.factors)
-    s1 = 1.0 / np.sqrt(t)
-    s2 = 1.0 / np.sqrt(1.0 - t)
-    elements = [
-        tuple(s1 * blk for blk in element) + zeros2 for element in cert1.elements
-    ] + [
-        zeros1 + tuple(s2 * blk for blk in element) for element in cert2.elements
-    ]
-    return channel, FactorizationCertificate(algebra, tuple(elements))
+    p1, p2 = cert1.num_elements, cert2.num_elements
+    stacks = [np.concatenate([(1.0 / np.sqrt(t)) * v, np.zeros((p2, *v.shape[1:]))])
+              for v in cert1.blocks]
+    stacks += [np.concatenate([np.zeros((p1, *v.shape[1:])), (1.0 / np.sqrt(1.0 - t)) * v])
+               for v in cert2.blocks]
+    return channel, FactorizationCertificate(FactorAlgebra(factors), tuple(zip(*stacks)))
 
 
 @dataclass(frozen=True)
@@ -213,34 +204,35 @@ def decompose_by_factors(
     """Split a channel along the factors of its certificate's algebra.
 
     For factor k, Q_k is the echelon factor of the p x p Gram matrix
-    Q_k* Q_k = (id (x) tau)(sum E_ij (x) V_i* V_j), taken from the blocks
-    themselves: the in-order Gram-Schmidt of the columns vec(V_i) / sqrt(d_k),
-    so Q_k keeps the blocks' conditioning, not that of their Gram matrix. The
-    component channel has Kraus operators sum_j (Q_k)_mj K_j and a
-    single-factor certificate with elements transferred through the
-    pseudoinverse of Q_k, which has full row rank: with Q_k* = W R (W
-    orthonormal columns, R triangular) it is W R^-*. That is the
-    least-squares transfer, so a block whose residual fell below the pivot cut
-    is still carried. The weighted Gram matrices sum to I_p and the weighted
-    Choi matrices sum to the input's. The block stacks and the traces
-    Tr(V_i* V_j) come from the verify pass.
+    (id (x) tau)(sum E_ij (x) V_i* V_j), taken from the block stack
+    ``cert.blocks[k]`` itself: the in-order Gram-Schmidt of the columns
+    vec(V_i) / sqrt(d_k), so Q_k keeps the blocks' conditioning, not that of
+    their Gram matrix. The component channel has Kraus operators
+    sum_j (Q_k)_mj K_j and a single-factor certificate with elements
+    transferred through the pseudoinverse of Q_k, which has full row rank:
+    with Q_k* = W R (W orthonormal columns, R triangular) it is W R^-*. That
+    is the least-squares transfer, so a block whose residual fell below the
+    pivot cut is still carried. The component's ``gram`` is Q_k* Q_k, so its
+    Choi matrix is K gram^T K* with K holding vec(K_i) as columns; the
+    weighted Gram matrices sum to I_p up to the cut pivots, as the weighted
+    Choi matrices sum to the input's.
     """
-    report, stacks, traces = _verify(k, cert, tol)
-    if not report.passed:
+    if not verify_certificate(k, cert, tol).passed:
         raise CertificateInvalid("cannot decompose along a failing certificate")
     p, n = k.num_kraus, k.dim_in
     components = []
-    for f, ((d, q), blocks, trace) in enumerate(zip(cert.algebra.factors, stacks, traces)):
+    for f, ((d, q), blocks) in enumerate(zip(cert.algebra.factors, cert.blocks)):
         flat = blocks.reshape(p, d * d)
         qmat = _root_echelon(flat.T / math.sqrt(d), tol)
         if not len(qmat):
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
         w, r = np.linalg.qr(qmat.conj().T)
         pinv = np.linalg.solve(r, w.conj().T).conj().T
-        elements = tuple((e,) for e in (pinv.T @ flat).reshape(-1, d, d))
-        sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), elements)
+        sub_cert = FactorizationCertificate(
+            FactorAlgebra(((d, 1.0),)), (pinv.T @ flat).reshape(-1, 1, d, d)
+        )
         channel = KrausChannel((qmat @ k.operators.reshape(p, n * n)).reshape(-1, n, n))
-        components.append(FactorComponent(q, channel, sub_cert, trace / d))
+        components.append(FactorComponent(q, channel, sub_cert, qmat.conj().T @ qmat))
     return components
 
 
@@ -318,5 +310,6 @@ def dilation_certificate(
     keep, ops = _dilation_blocks(w, n, k, tol)
     units = np.zeros((keep.size, k * k), dtype=complex)
     units[np.arange(keep.size), keep] = np.sqrt(k)
-    elements = tuple((unit,) for unit in units.reshape(-1, k, k))
-    return KrausChannel(ops), FactorizationCertificate(FactorAlgebra(((k, 1.0),)), elements)
+    return KrausChannel(ops), FactorizationCertificate(
+        FactorAlgebra(((k, 1.0),)), units.reshape(-1, 1, k, k)
+    )

@@ -100,10 +100,12 @@ def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) 
 
 def extract_blocks(
     s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Factor L_Z(A) = V* V with V of k rows and return its k x k column blocks.
 
-    The blocks reproduce the pencil value through sum_ij E_ij (x) V_i* V_j.
+    The blocks are one p x k x k view of V: block i is V[:, i*k:(i+1)*k], so
+    ``np.hstack`` of them is V. They reproduce the pencil value through
+    sum_ij E_ij (x) V_i* V_j.
     Raises NotHermitian or NotPSD for a non-Hermitian or infeasible pencil
     value and RankTooHigh when its :func:`~chanfact.linalg.psd_factor` has
     more than k rows. The rows of V are that factor, padded with zero rows to k.
@@ -114,11 +116,11 @@ def extract_blocks(
         raise RankTooHigh(f"pencil value has rank {len(b)} > {k}")
     v = np.zeros((k, s.p * k), dtype=complex)
     v[: len(b)] = b
-    return [v[:, i * k : (i + 1) * k] for i in range(s.p)]
+    return v.reshape(k, s.p, k).transpose(1, 0, 2)
 
 
 def point_from_blocks(
-    s: LmiSystem, blocks: list[np.ndarray], tol: Tolerance = DEFAULT_TOL
+    s: LmiSystem, blocks: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> LmiPoint:
     """Recover the point whose pencil value is the Gram matrix of the blocks.
 

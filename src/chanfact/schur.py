@@ -108,11 +108,12 @@ def schur_complement_adjoint_apply(w: GramVectors, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HmExample:
-    """The Haagerup-Musat 6x6 correlation matrix with its Gram and kernel data."""
+    """The Haagerup-Musat 6x6 correlation matrix with its Gram vectors and its
+    kernel basis, stored as one complex 3 x 3 x 3 array z."""
 
     c: CorrelationMatrix
     w: GramVectors
-    z: tuple[np.ndarray, np.ndarray, np.ndarray]
+    z: np.ndarray
 
 
 # Off-diagonal sign pattern of the Haagerup-Musat matrix. On the pentagon
@@ -157,11 +158,12 @@ def hm_example(tol: Tolerance = DEFAULT_TOL) -> HmExample:
     z1 = np.diag([0.0, s2, -s2]).astype(complex)
     z2 = np.array([[0, 1, -1], [1, 0, 0], [-1, 0, 0]], dtype=complex)
     z3 = 1j * np.array([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]], dtype=complex)
-    return HmExample(c, w, (z1, z2, z3))
+    return HmExample(c, w, np.array([z1, z2, z3]))
 
 
-def hm_derived_point() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-2 solution (A_1, A_2, A_3) of the Haagerup-Musat system.
+def hm_derived_point() -> np.ndarray:
+    """The rank-2 solution (A_1, A_2, A_3) of the Haagerup-Musat system, as one
+    complex 3 x 2 x 2 array.
 
     A_1 = diag(-1/sqrt(2), 1/sqrt(2)) and A_2 + i A_3 = sqrt(2) E_12, the
     point whose extracted blocks certify factorization by M_2.
@@ -170,4 +172,4 @@ def hm_derived_point() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a1 = np.diag([-1.0 / s2, 1.0 / s2]).astype(complex)
     a2 = (s2 / 2.0) * np.array([[0, 1], [1, 0]], dtype=complex)
     a3 = (s2 / 2.0) * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return a1, a2, a3
+    return np.array([a1, a2, a3])

@@ -58,6 +58,12 @@ def test_factor_algebra_validation():
         FactorAlgebra(((2, 0.4), (1, 0.4)))
     with pytest.raises(ValueError):
         FactorAlgebra(((2, -0.5), (1, 1.5)))
+    # a fractional dimension is rejected, not truncated to 2
+    with pytest.raises(DimensionMismatch):
+        FactorAlgebra(((2.5, 1.0),))
+    with pytest.raises(DimensionMismatch):
+        FactorAlgebra(((2, 0.5), (np.float64(1.0), 0.5)))
+    assert FactorAlgebra(((np.int64(2), 1.0),)).factors == ((2, 1.0),)
 
 
 def test_factor_algebra_trace():
@@ -72,6 +78,47 @@ def test_certificate_shape_validation():
         FactorizationCertificate(algebra, ((np.eye(3),),))
     with pytest.raises(DimensionMismatch):
         FactorizationCertificate(algebra, ((np.eye(2), np.eye(2)),))
+    two = FactorAlgebra(((2, 0.5), (1, 0.5)))
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(two, ((np.eye(2), np.eye(1)), (np.eye(2), np.eye(2))))
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(two, ((np.eye(2), np.eye(1)), (np.eye(2), np.ones(1))))
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(algebra, ())
+
+
+def test_certificate_stores_one_stack_per_factor():
+    rng = np.random.default_rng(60)
+    algebra = FactorAlgebra(((2, 0.25), (3, 0.75)))
+    elements = [(complex_gaussian(rng, (2, 2)), rng.standard_normal((3, 3))) for _ in range(4)]
+    cert = FactorizationCertificate(algebra, elements)
+    assert cert.num_elements == 4
+    assert [v.shape for v in cert.blocks] == [(4, 2, 2), (4, 3, 3)]
+    for f, v in enumerate(cert.blocks):
+        assert v.dtype == complex and v.flags.c_contiguous
+        for i in range(4):
+            assert np.array_equal(v[i], elements[i][f])
+            # the per-element layout is a view of the stacks, not a copy
+            assert np.array_equal(cert.elements[i][f], v[i])
+            assert np.shares_memory(cert.elements[i][f], v)
+
+
+def test_combine_stacks_are_the_zero_padded_blocks():
+    rng = np.random.default_rng(61)
+    k1, cert1 = dilation_certificate(haar_unitary(rng, 4), 2, 2)
+    k2, cert2 = dilation_certificate(haar_unitary(rng, 6), 2, 3)
+    t = 0.3
+    _, cert = combine_certificates(k1, cert1, k2, cert2, t)
+    p1, p2 = cert1.num_elements, cert2.num_elements
+    expected = [[1.0 / np.sqrt(t) * element[0] for element in cert1.elements]
+                + [np.zeros((2, 2))] * p2,
+                [np.zeros((3, 3))] * p1
+                + [1.0 / np.sqrt(1.0 - t) * element[0] for element in cert2.elements]]
+    assert len(cert.blocks) == 2
+    for got, blocks in zip(cert.blocks, expected, strict=True):
+        assert got.shape == (p1 + p2, *blocks[0].shape)
+        for g, b in zip(got, blocks, strict=True):
+            assert np.array_equal(g, b)
 
 
 def test_dilation_certificate_verifies():
@@ -341,6 +388,20 @@ def test_decompose_drops_a_pivot_below_the_cut():
     for comp in components:
         assert comp.channel.num_kraus == comp.certificate.num_elements == 1
         assert verify_certificate(comp.channel, comp.certificate).passed
+
+
+def test_decompose_grams_give_the_component_choi_matrices():
+    # each component's Choi matrix is K gram^T K*, also where a pivot is cut: the
+    # Gram matrices drop the cut pivot as the component channels do
+    k, cert = phase_flip_over_two_m2(1e-5, np.random.default_rng(57))
+    components = decompose_by_factors(k, cert)
+    kmat = k.operators.transpose(0, 2, 1).reshape(k.num_kraus, -1).T  # column i is vec(K_i)
+    choi = sum(comp.weight * choi_from_kraus(comp.channel).matrix for comp in components)
+    gram = sum(comp.weight * comp.gram for comp in components)
+    assert frob(choi - kmat @ gram.T @ kmat.conj().T) <= 1e-14
+    for comp in components:
+        assert frob(choi_from_kraus(comp.channel).matrix
+                    - kmat @ comp.gram.T @ kmat.conj().T) <= 1e-14
 
 
 def test_certificate_from_point_checks_in_order():

@@ -147,6 +147,21 @@ def test_extract_blocks_factor_the_eigh_reference_gram():
         assert all(row[j].imag == 0.0 and row[j].real > 0.0 for row, j in zip(kept, pivots))
 
 
+def test_extract_blocks_are_one_stacked_view_of_v():
+    rng = np.random.default_rng(59)
+    _, hm_system, hm_point = hm_setup()
+    for system, point in [(hm_system, hm_point), dilation_solution(rng, 3, 3)]:
+        k = point.k
+        blocks = extract_blocks(system, point)
+        assert isinstance(blocks, np.ndarray) and blocks.shape == (system.p, k, k)
+        factor = psd_factor(lmi_eval(system, point))
+        v = np.zeros((k, system.p * k), dtype=complex)
+        v[: len(factor)] = factor
+        assert np.array_equal(np.hstack(blocks), v)
+        # a view of the one k x pk factor, not p copied blocks
+        assert blocks.base is not None and np.array_equal(blocks.base, v)
+
+
 def test_membership_rank_equals_rank_tol_of_pencil_value():
     rng = np.random.default_rng(57)
     hm = hm_example()

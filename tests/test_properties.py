@@ -45,8 +45,6 @@ from chanfact import (  # noqa: E402
     validate_correlation,
     verify_certificate,
 )
-from chanfact.factorization import _verify  # noqa: E402
-from chanfact.linalg import DEFAULT_TOL  # noqa: E402
 from helpers import (  # noqa: E402
     complex_gaussian,
     haar_unitary,
@@ -55,7 +53,6 @@ from helpers import (  # noqa: E402
     random_hermitian,
     random_tp_channel,
     rank_tol,
-    reference_factor_gram,
     reference_residuals,
     smallest_kept_pivot,
 )
@@ -385,14 +382,11 @@ def channel_and_certificate(draw):
 @given(channel_and_certificate())
 def test_verify_matches_the_loop_residuals(case):
     channel, cert = case
-    report, _, traces = _verify(channel, cert, DEFAULT_TOL)
+    report = verify_certificate(channel, cert)
     got = (report.orthonormality_residual, report.complement_residual,
            report.unitarity_residual)
     for value, ref in zip(got, reference_residuals(channel, cert), strict=True):
         assert abs(value - ref) <= 1e-12 * max(1.0, ref)
-    for f, (d, _) in enumerate(cert.algebra.factors):
-        ref = d * reference_factor_gram(cert, f)
-        assert np.abs(traces[f] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 @settings(max_examples=80, deadline=None)
