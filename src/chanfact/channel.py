@@ -102,10 +102,7 @@ def apply_channel(k: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (k.dim_in, k.dim_in):
         raise DimensionMismatch(f"input must be {k.dim_in}x{k.dim_in}, got {x.shape}")
-    out = np.zeros((k.dim_out, k.dim_out), dtype=complex)
-    for op in k.operators:
-        out += op @ x @ op.conj().T
-    return out
+    return (k.operators @ x @ k.operators.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_adjoint(k: KrausChannel, y: np.ndarray) -> np.ndarray:
@@ -113,10 +110,14 @@ def apply_adjoint(k: KrausChannel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.shape != (k.dim_out, k.dim_out):
         raise DimensionMismatch(f"input must be {k.dim_out}x{k.dim_out}, got {y.shape}")
-    out = np.zeros((k.dim_in, k.dim_in), dtype=complex)
-    for op in k.operators:
-        out += op.conj().T @ y @ op
-    return out
+    return (k.operators.conj().transpose(0, 2, 1) @ y @ k.operators).sum(axis=0)
+
+
+def _trace_preserving(k: KrausChannel, tol: Tolerance) -> bool:
+    """Whether ||sum_i K_i* K_i - I_n||_F is close to 0 at the scale ||I_n||_F = sqrt(n)."""
+    n = k.dim_in
+    column = k.operators.reshape(-1, n)  # the K_i stacked: sum_i K_i* K_i = column* column
+    return tol.close(frob(column.conj().T @ column - np.eye(n)), np.sqrt(n))
 
 
 def channel_checks(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChannelChecks:
@@ -125,12 +126,10 @@ def channel_checks(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChannelChec
     Complete positivity is true by construction for Kraus form; the field is
     reported so Choi-derived channels carry the full record.
     """
-    n, m = k.dim_in, k.dim_out
-    column = k.operators.reshape(-1, n)  # the K_i stacked: sum_i K_i* K_i = column* column
+    m = k.dim_out
     row = k.operators.transpose(1, 0, 2).reshape(m, -1)  # side by side: sum_i K_i K_i* = row row*
-    tp = tol.close(frob(column.conj().T @ column - np.eye(n)), np.sqrt(n))  # ||I_n||_F
-    unital = tol.close(frob(row @ row.conj().T - np.eye(m)), np.sqrt(m))
-    return ChannelChecks(tp, unital, True)
+    unital = tol.close(frob(row @ row.conj().T - np.eye(m)), np.sqrt(m))  # ||I_m||_F
+    return ChannelChecks(_trace_preserving(k, tol), unital, True)
 
 
 def stinespring_dilation(
@@ -143,7 +142,7 @@ def stinespring_dilation(
     (id (x) Tr)(u (X (x) E_11) u*) = Phi(X) for n x n inputs X embedded in
     the top-left corner of M_m, so it needs n <= m.
     """
-    if not channel_checks(k, tol).trace_preserving:
+    if not _trace_preserving(k, tol):
         raise NotTracePreserving("stinespring_dilation requires a trace-preserving channel")
     m, n, p = k.dim_out, k.dim_in, k.num_kraus
     if n > m:

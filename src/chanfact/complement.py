@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausChannel, channel_checks
+from .channel import KrausChannel, _trace_preserving
 from .errors import DimensionMismatch, NotTracePreserving
 from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, spectral_rank
 
@@ -83,7 +83,7 @@ def selfadjoint_kernel_basis(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> n
     projector, factored from its rows (see :mod:`chanfact.linalg`). Requires a
     trace-preserving channel.
     """
-    if not channel_checks(k, tol).trace_preserving:
+    if not _trace_preserving(k, tol):
         raise NotTracePreserving("kernel basis requires a trace-preserving channel")
     return _hermitian_kernel(k, tol)
 

@@ -24,7 +24,7 @@ from .channel import (
     convex_combine_channels,
 )
 from .errors import CertificateInvalid, DimensionMismatch, TraceNotZero
-from .linalg import DEFAULT_TOL, Tolerance, _root_echelon, _stack, frob
+from .linalg import DEFAULT_TOL, Tolerance, _kron_sum, _root_echelon, _stack, frob
 from .lmi import LmiPoint, LmiSystem, extract_blocks, lmi_membership
 
 WEIGHT_SUM_TOL = 1e-12
@@ -65,22 +65,25 @@ class FactorAlgebra:
 class FactorizationCertificate:
     """Blocks V_i^(f) of a factor algebra, ``blocks[f]`` one C-contiguous complex
     p x d_f x d_f stack per factor. The constructor takes them per Kraus index,
-    ``elements[i][f]`` = V_i^(f) as in the JSON schema; :attr:`elements` is
-    that layout again, as views of the stacks."""
+    ``elements[i][f]`` = V_i^(f) as in the JSON schema, or as one p x m x d x d
+    array that it slices per factor; :attr:`elements` is the per-index layout
+    again, as views of the stacks."""
 
     algebra: FactorAlgebra
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, algebra: FactorAlgebra, elements) -> None:
-        for i, element in enumerate(elements):
+        array = isinstance(elements, np.ndarray) and elements.ndim == 4  # p x m x d x d
+        for i, element in enumerate(elements[:1] if array else elements):  # an array's axis once
             if len(element) != algebra.num_factors:
                 raise DimensionMismatch(f"element {i}: {len(element)} blocks, not one per factor")
         if not len(elements):
             raise DimensionMismatch("certificate needs at least one element")
         self.algebra = algebra
+        families = elements.swapaxes(0, 1) if array else zip(*elements)
         self.blocks = tuple(
             _stack(family, (d, d), f"factor {f} blocks")
-            for f, ((d, _), family) in enumerate(zip(algebra.factors, zip(*elements)))
+            for f, ((d, _), family) in enumerate(zip(algebra.factors, families))
         )
 
     @property
@@ -106,10 +109,10 @@ def verify_certificate(
 ) -> CertificateReport:
     """Check orthonormality, the complement-range identity, and unitarity.
 
-    Per factor f, with U_f = sum_i K_i (x) V_i over the stack ``cert.blocks[f]``,
-    block (b, c) of U_f* U_f is sum_ij (K_i* K_j)_bc V_i* V_j, the complement
-    identity's left-hand side at X = Phi^c(E_cb), whose trace is
-    (sum_i K_i* K_i)_bc. The complement
+    Per factor f, U_f = sum_i K_i (x) V_i is the ``_kron_sum`` of the Kraus
+    operators and the stack ``cert.blocks[f]``. Block (b, c) of U_f* U_f is
+    sum_ij (K_i* K_j)_bc V_i* V_j, the complement identity's left-hand side at
+    X = Phi^c(E_cb), whose trace is (sum_i K_i* K_i)_bc. The complement
     residual is the largest Frobenius norm over (b, c, f) of that block minus
     its trace times I; the unitarity residual is the Frobenius norm of
     U_f* U_f - I over all factors together; the inner products tau(V_i* V_j)
@@ -132,7 +135,7 @@ def verify_certificate(
     for (d, q), v in zip(cert.algebra.factors, cert.blocks):
         flat = v.reshape(p, d * d)
         inner += (q / d) * (flat.conj() @ flat.T)
-        u = np.einsum("iab,ixy->axby", k.operators, v).reshape(n * d, n * d)
+        u = _kron_sum(k.operators, v)
         gram = u.conj().T @ u
         r = gram.reshape(n, d, n, d) - defect[:, None, :, None] * np.eye(d)[:, None, :]
         compl = max(compl, math.sqrt((r.real**2 + r.imag**2).sum(axis=(1, 3)).max()))
@@ -208,14 +211,13 @@ def decompose_by_factors(
     ``cert.blocks[k]`` itself: the in-order Gram-Schmidt of the columns
     vec(V_i) / sqrt(d_k), so Q_k keeps the blocks' conditioning, not that of
     their Gram matrix. The component channel has Kraus operators
-    sum_j (Q_k)_mj K_j and a single-factor certificate with elements
-    transferred through the pseudoinverse of Q_k, which has full row rank:
-    with Q_k* = W R (W orthonormal columns, R triangular) it is W R^-*. That
-    is the least-squares transfer, so a block whose residual fell below the
-    pivot cut is still carried. The component's ``gram`` is Q_k* Q_k, so its
-    Choi matrix is K gram^T K* with K holding vec(K_i) as columns; the
-    weighted Gram matrices sum to I_p up to the cut pivots, as the weighted
-    Choi matrices sum to the input's.
+    sum_j (Q_k)_mj K_j and a single-factor certificate whose elements V'_m
+    are one least-squares solve of sum_m (Q_k)_mj V'_m = V_j: the transfer
+    through the pseudoinverse of Q_k, which has full row rank, so a block whose
+    residual fell below the pivot cut is still carried. The component's
+    ``gram`` is Q_k* Q_k, so its Choi matrix is K gram^T K* with K holding
+    vec(K_i) as columns; the weighted Gram matrices sum to I_p up to the cut
+    pivots, as the weighted Choi matrices sum to the input's.
     """
     if not verify_certificate(k, cert, tol).passed:
         raise CertificateInvalid("cannot decompose along a failing certificate")
@@ -226,11 +228,8 @@ def decompose_by_factors(
         qmat = _root_echelon(flat.T / math.sqrt(d), tol)
         if not len(qmat):
             raise CertificateInvalid(f"factor {f} carries no weight in the certificate")
-        w, r = np.linalg.qr(qmat.conj().T)
-        pinv = np.linalg.solve(r, w.conj().T).conj().T
-        sub_cert = FactorizationCertificate(
-            FactorAlgebra(((d, 1.0),)), (pinv.T @ flat).reshape(-1, 1, d, d)
-        )
+        transfer = np.linalg.lstsq(qmat.T, flat, rcond=None)[0].reshape(-1, 1, d, d)
+        sub_cert = FactorizationCertificate(FactorAlgebra(((d, 1.0),)), transfer)
         channel = KrausChannel((qmat @ k.operators.reshape(p, n * n)).reshape(-1, n, n))
         components.append(FactorComponent(q, channel, sub_cert, qmat.conj().T @ qmat))
     return components

@@ -109,6 +109,15 @@ def _stack(mats, shape: tuple[int | None, ...], what: str) -> np.ndarray:
     return arr
 
 
+def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x_i (x) y_i of a (c, m, n) and a (c, a, b) stack, an (m a) x (n b) matrix:
+    one (m n x c)(c x a b) product of the flattened stacks, entries x_mn y_ab,
+    reordered to rows (m, a) and columns (n, b). Empty stacks give the zero matrix."""
+    (c, m, n), (a, b) = x.shape, y.shape[1:]
+    terms = x.reshape(c, m * n).T @ y.reshape(c, a * b)
+    return terms.reshape(m, n, a, b).transpose(0, 2, 1, 3).reshape(m * a, n * b)
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

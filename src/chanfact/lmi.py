@@ -27,7 +27,7 @@ from .errors import (
     NotPSD,
     RankTooHigh,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _stack, frob, psd_factor, spectral_rank
+from .linalg import DEFAULT_TOL, Tolerance, _kron_sum, _stack, frob, psd_factor, spectral_rank
 
 
 @dataclass
@@ -71,17 +71,11 @@ def build_lmi(k: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> LmiSystem:
 
 
 def lmi_eval(s: LmiSystem, point: LmiPoint) -> np.ndarray:
-    """Evaluate the pencil I (x) I + sum_i Z_i (x) A_i at a point."""
+    """Evaluate the pencil I (x) I + sum_i Z_i (x) A_i at a point: I plus the
+    :func:`~chanfact.linalg._kron_sum` of the basis and point stacks."""
     if len(point.a) != s.d:
         raise DimensionMismatch(f"point has {len(point.a)} coefficients, system needs {s.d}")
-    p, k = s.p, point.k
-    if not s.d:
-        return np.eye(p * k, dtype=complex)
-    # (p^2 x k^2) entries Z_ab A_xy summed over i, reordered to rows (a, x), columns (b, y)
-    terms = s.z.reshape(s.d, p * p).T @ point.a.reshape(s.d, k * k)
-    out = terms.reshape(p, p, k, k).transpose(0, 2, 1, 3).reshape(p * k, p * k)
-    out += np.eye(p * k)
-    return out
+    return _kron_sum(s.z, point.a) + np.eye(s.p * point.k)
 
 
 def lmi_membership(s: LmiSystem, point: LmiPoint, tol: Tolerance = DEFAULT_TOL) -> LmiMembership:
@@ -134,18 +128,15 @@ def point_from_blocks(
     k = len(blocks[0])
     v = _stack(blocks, (k, k), "blocks").transpose(1, 0, 2).reshape(k, s.p * k)
     g = v.conj().T @ v
-    a = np.zeros((0, k, k))
-    if s.d:
-        flat = s.z.reshape(s.d, s.p * s.p)
-        gzz = (flat.conj() @ flat.T).real
-        rank = spectral_rank(np.linalg.eigvalsh(gzz), tol)
-        if rank < s.d:
-            raise DependentBasis(f"basis Gram matrix has rank {rank} < d={s.d}")
-        resid = (g - np.eye(s.p * k)).reshape(s.p, k, s.p, k)
-        contracted = flat.conj() @ resid.transpose(0, 2, 1, 3).reshape(s.p * s.p, k * k)
-        coeff = np.linalg.solve(gzz, contracted).reshape(s.d, k, k)
-        a = (coeff + coeff.conj().transpose(0, 2, 1)) / 2.0
-    point = LmiPoint(k, a)
+    flat = s.z.reshape(s.d, s.p * s.p)
+    gzz = (flat.conj() @ flat.T).real
+    rank = spectral_rank(np.linalg.eigvalsh(gzz), tol)
+    if rank < s.d:
+        raise DependentBasis(f"basis Gram matrix has rank {rank} < d={s.d}")
+    resid = (g - np.eye(s.p * k)).reshape(s.p, k, s.p, k)
+    contracted = flat.conj() @ resid.transpose(0, 2, 1, 3).reshape(s.p * s.p, k * k)
+    coeff = np.linalg.solve(gzz, contracted).reshape(s.d, k, k)
+    point = LmiPoint(k, (coeff + coeff.conj().transpose(0, 2, 1)) / 2.0)
     gap = frob(g - lmi_eval(s, point))
     if not tol.close(gap, frob(g)):
         raise NotInSpan(f"projection residual {gap:.3e}")
@@ -170,7 +161,7 @@ def face_channel(
         q = psd_factor(lmi_eval(s, LmiPoint(1, x)), tol)
     except NotPSD as exc:
         raise NotInSpectrahedron(f"scalar pencil: {exc}") from None
-    ops = np.einsum("mj,jab->mab", q, k.operators)
+    ops = (q @ k.operators.reshape(k.num_kraus, -1)).reshape(-1, *k.operators.shape[1:])
     ops = ops[[not tol.close(x) for x in np.linalg.norm(ops, axis=(1, 2)).tolist()]]
     if not len(ops):
         raise NotInSpectrahedron("face selection produced an empty Kraus family")

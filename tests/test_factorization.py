@@ -103,6 +103,28 @@ def test_certificate_stores_one_stack_per_factor():
             assert np.shares_memory(cert.elements[i][f], v)
 
 
+def test_certificate_from_an_element_array():
+    # a p x m x d x d array is checked on its element axis once and stacked per factor
+    rng = np.random.default_rng(61)
+    elements = complex_gaussian(rng, (4, 1, 2, 2))
+    cert = FactorizationCertificate(FactorAlgebra(((2, 1.0),)), elements)
+    assert cert.blocks[0].flags.c_contiguous
+    assert np.array_equal(cert.blocks[0], elements[:, 0])
+    two = complex_gaussian(rng, (4, 2, 2, 2))
+    cert = FactorizationCertificate(FactorAlgebra(((2, 0.5), (2, 0.5))), two)
+    for f in range(2):
+        assert cert.blocks[f].flags.c_contiguous
+        assert np.array_equal(cert.blocks[f], two[:, f])
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(FactorAlgebra(((2, 1.0),)), two)
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(FactorAlgebra(((2, 0.5), (2, 0.5))), elements)
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(FactorAlgebra(((3, 1.0),)), elements)
+    with pytest.raises(DimensionMismatch):
+        FactorizationCertificate(FactorAlgebra(((2, 1.0),)), elements[:0])
+
+
 def test_combine_stacks_are_the_zero_padded_blocks():
     rng = np.random.default_rng(61)
     k1, cert1 = dilation_certificate(haar_unitary(rng, 4), 2, 2)

@@ -12,7 +12,7 @@ from chanfact import (
     frob,
     psd_factor,
 )
-from chanfact.linalg import _root_echelon, spectral_rank
+from chanfact.linalg import _kron_sum, _root_echelon, spectral_rank
 from helpers import (
     complex_gaussian,
     kron,
@@ -254,3 +254,15 @@ def test_complete_isometry_at_large_abs_tol():
     u = complete_isometry(v, Tolerance(abs_tol=0.7))
     assert np.array_equal(u[:, :3], v)
     assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("c, m, n, a, b", [(3, 2, 4, 3, 1), (1, 1, 1, 2, 2), (0, 2, 3, 4, 1)])
+def test_kron_sum_matches_the_kron_loop(c, m, n, a, b):
+    rng = np.random.default_rng(64)
+    x, y = complex_gaussian(rng, (c, m, n)), complex_gaussian(rng, (c, a, b))
+    value = _kron_sum(x, y)
+    ref = sum((np.kron(xi, yi) for xi, yi in zip(x, y)), np.zeros((m * a, n * b), dtype=complex))
+    assert value.shape == (m * a, n * b)
+    assert frob(value - ref) <= 1e-14 * max(1.0, frob(ref))
+    if not c:  # empty stacks give the zero matrix
+        assert np.array_equal(value, np.zeros((m * a, n * b)))

@@ -227,6 +227,18 @@ def test_point_from_blocks_rejects_outside_span():
         point_from_blocks(s, blocks[:2])
 
 
+def test_point_from_blocks_of_an_empty_system():
+    # d = 0: the pencil is I, so the blocks must have Gram matrix I
+    k = 3
+    unitary = haar_unitary(np.random.default_rng(62), k)
+    point = point_from_blocks(LmiSystem(1, ()), [unitary])
+    assert point.k == k and point.a.shape == (0, k, k)
+    rng = np.random.default_rng(63)
+    blocks = [rng.standard_normal((2, 2)) for _ in range(3)]
+    with pytest.raises(NotInSpan):
+        point_from_blocks(LmiSystem(3, ()), blocks)
+
+
 def test_face_channel_identity_face():
     k, system, _ = hm_setup()
     same = face_channel(k, np.zeros(system.d), system=system)
