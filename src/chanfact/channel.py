@@ -147,18 +147,14 @@ def stinespring_dilation(
     m, n, p = k.dim_out, k.dim_in, k.num_kraus
     if n > m:
         raise DimensionMismatch(f"an input of dimension {n} does not embed in M_{m}")
-    # sum_i K_i (x) e_i; + 0.0 turns -0.0 into +0.0 as the summed kron did
+    # sum_i K_i (x) e_i; + 0.0 turns a -0.0 entry, which would print as -0, into +0.0
     v = k.operators.transpose(1, 0, 2).reshape(m * p, n) + 0.0
     u0 = complete_isometry(v, tol)
-    # route column b of v to position (b, environment index 1) so that the
-    # reconstruction identity holds in the kron layout
-    size = m * p
-    positions = [b * p for b in range(n)]
-    taken = set(positions)
-    rest = [j for j in range(size) if j not in taken]
-    u = np.zeros_like(u0)
-    u[:, positions] = u0[:, :n]
-    u[:, rest] = u0[:, n:]
+    # column b of v to b * p (environment index 1), as the kron layout needs; the rest in order
+    first = np.zeros(m * p, dtype=bool)
+    first[: n * p : p] = True
+    u = np.empty_like(u0)
+    u[:, first], u[:, ~first] = u0[:, :n], u0[:, n:]
     return u, p
 
 

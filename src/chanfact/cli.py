@@ -110,6 +110,15 @@ def _need_coefficients(point: LmiPoint, d: int, where: str) -> None:
         raise SchemaError(f"{where}: {len(point.a)} coefficient(s), the system needs {d}")
 
 
+def _certified(docs: list, i: int, tag: str) -> tuple:
+    k = jsonio.channel_from_json(docs[i], f"channel{tag}")
+    cert = jsonio.certificate_from_json(docs[i + 1], f"certificate{tag}")
+    if cert.num_elements != k.num_kraus:
+        raise SchemaError(f"certificate{tag}: {cert.num_elements} element(s) "
+                          f"for {k.num_kraus} Kraus operator(s)")
+    return k, cert
+
+
 def _membership_doc(mem) -> dict:
     return {"psd": mem.psd, "rank": mem.rank, "traces": list(mem.traces)}
 
@@ -234,18 +243,17 @@ def _cmd_extract(args, docs, tol):
 
 def _cmd_verify(args, docs, tol):
     _need(docs, 2, "channel, certificate")
-    k = jsonio.channel_from_json(docs[0])
-    cert = jsonio.certificate_from_json(docs[1])
+    k, cert = _certified(docs, 0, "")
     report = verify_certificate(k, cert, tol)
     return _report_doc(report), f"verify: pass={report.passed}", 0 if report.passed else 1
 
 
 def _cmd_combine(args, docs, tol):
     _need(docs, 4, "channel, certificate, channel, certificate")
-    k1 = jsonio.channel_from_json(docs[0], "channel1")
-    c1 = jsonio.certificate_from_json(docs[1], "certificate1")
-    k2 = jsonio.channel_from_json(docs[2], "channel2")
-    c2 = jsonio.certificate_from_json(docs[3], "certificate2")
+    k1, c1 = _certified(docs, 0, "1")
+    k2, c2 = _certified(docs, 2, "2")
+    if (k2.dim_in, k2.dim_out) != (k1.dim_in, k1.dim_out):
+        raise SchemaError(f"channel2: maps M_{k2.dim_in} -> M_{k2.dim_out}, unlike channel1")
     channel, cert = combine_certificates(k1, c1, k2, c2, args.t, tol)
     doc = {
         "t": float(args.t),
@@ -257,8 +265,7 @@ def _cmd_combine(args, docs, tol):
 
 def _cmd_decompose(args, docs, tol):
     _need(docs, 2, "channel, certificate")
-    k = jsonio.channel_from_json(docs[0])
-    cert = jsonio.certificate_from_json(docs[1])
+    k, cert = _certified(docs, 0, "")
     components = decompose_by_factors(k, cert, tol)
     doc = {
         "components": [

@@ -12,11 +12,11 @@ Conventions used throughout the package:
   :func:`_root_echelon`, the in-order Gram-Schmidt of a root m with G = m* m,
   so G's squared conditioning never enters. Its cut has two scales:
 
-  - located: where a spectrum has decided the rank (the kernel, the
-    isometry completion, :func:`psd_factor`), the root has one row per rank
-    and the pivots only locate the kept columns; a column is kept when its
-    residual norm exceeds ``rel_rank_tol`` times m's largest column norm,
-    the scale of the singular values that decided the rank;
+  - located: where the rank is known (from a spectrum for the kernel and
+    :func:`psd_factor`, the row count N of [v | I] for the isometry completion),
+    the root has one row per rank and the pivots only locate the kept columns;
+    a column is kept when its residual norm exceeds ``rel_rank_tol`` times m's
+    largest column norm, the scale of m's singular values;
   - decided: otherwise (the blocks of a certificate) the pivots decide the
     rank; a column is kept when its squared residual, its pivot, exceeds
     ``rel_rank_tol`` times G's largest diagonal entry, the scale of G's
@@ -248,11 +248,10 @@ def _root_echelon(m: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.
 def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Complete an isometry ``v`` (N x c, v* v = I_c) to an N x N unitary.
 
-    The added columns are R* for the orthonormal echelon factor R of
-    I - v v*, factored from its root, the complement rows of v's complete QR:
-    in exact arithmetic, the Gram-Schmidt of the standard basis vectors
-    against range(v), taken in index order and skipping dependents. The
-    first c columns of the result equal ``v``.
+    The added columns are R* for the orthonormal echelon factor R of I - v v*,
+    the Gram-Schmidt of e_1, e_2, ... against range(v) in index order, skipping
+    dependents: the rows and columns c.. of the echelon factor [[T, W*], [0, R]]
+    of [v | I_N], whose rank N locates the cut. The first c columns equal ``v``.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
@@ -261,6 +260,5 @@ def complete_isometry(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     defect = frob(v.conj().T @ v - np.eye(c))
     if not tol.close(defect, frob(v)):
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e}")
-    q = np.linalg.qr(v, mode="complete")[0]
-    rest = _root_echelon(q[:, c:].conj().T, tol, n - c)
-    return np.hstack([v, rest.conj().T])
+    r = _root_echelon(np.hstack([v, np.eye(n)]), tol, n)
+    return np.hstack([v, r[c:, c:].conj().T])

@@ -51,8 +51,6 @@ class GramVectors:
 def validate_correlation(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CorrelationMatrix:
     """Check Hermitian, PSD, and unit diagonal; keep the PSD factor."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"correlation matrix must be square, got {m.shape}")
     factor = psd_factor(m, tol)
     diag_defect = float(np.abs(np.diag(m) - 1.0).max())
     if not tol.close(diag_defect):

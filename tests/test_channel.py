@@ -14,6 +14,7 @@ from chanfact import (
     channel_checks,
     channel_from_dilation,
     choi_from_kraus,
+    complete_isometry,
     convex_combine_channels,
     frob,
     kraus_from_choi,
@@ -160,6 +161,18 @@ def test_stinespring_dilation_rectangular_output():
     e11[0, 0] = 1.0
     lifted = u @ kron(embedded, e11) @ u.conj().T
     assert frob(partial_trace(lifted, (m, p), "right") - apply_channel(k, x)) < 1e-9
+
+
+@pytest.mark.parametrize("n, m, p", [(3, 3, 4), (2, 3, 2), (3, 3, 1)])
+def test_stinespring_dilation_layout(n, m, p):
+    # column b of v = sum_i K_i (x) e_i at position b * p, the completion in the others in order
+    k = random_tp_channel(np.random.default_rng(18), n, p, m=m)
+    v = k.operators.transpose(1, 0, 2).reshape(m * p, n)
+    u, _ = stinespring_dilation(k)
+    first = [b * p for b in range(n)]
+    assert np.array_equal(u[:, first], v)
+    rest = [j for j in range(m * p) if j not in first]
+    assert np.array_equal(u[:, rest], complete_isometry(v)[:, n:])
 
 
 def test_stinespring_requires_trace_preserving():

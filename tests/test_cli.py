@@ -411,6 +411,38 @@ def test_point_that_does_not_fit_the_system_exits_2(tmp_path, capsys, command):
     assert report["detail"] == f"{where}: 1 coefficient(s), the system needs 3"
 
 
+@pytest.mark.parametrize(
+    "command, where",
+    [("verify", "certificate"), ("decompose", "certificate"), ("combine", "certificate1"),
+     ("combine", "certificate2"), ("combine", "channel2")],
+)
+def test_certificate_or_channel_that_does_not_fit_exits_2(tmp_path, capsys, command, where):
+    hm, k, system, point = hm_setup()
+    docs = {
+        "channel": jsonio.channel_to_json(k),
+        "certificate": jsonio.certificate_to_json(certificate_from_point(k, system, point)),
+    }
+    short = dict(docs["certificate"], v=docs["certificate"]["v"][:2])
+    if command == "combine":
+        docs = {f"{name}{i}": doc for i in (1, 2) for name, doc in docs.items()}
+        if where == "channel2":  # a certified channel on M_2, not M_6
+            k2, cert2 = dilation_certificate(haar_unitary(np.random.default_rng(19), 4), 2, 2)
+            docs.update(channel2=jsonio.channel_to_json(k2),
+                        certificate2=jsonio.certificate_to_json(cert2))
+    if where != "channel2":
+        docs[where] = short
+    extra = ["--t", "0.5"] if command == "combine" else []
+    inputs = [a for name, doc in docs.items() for a in ("-i", write(tmp_path / name, doc))]
+    code, doc, err = run(capsys, command, *extra, *inputs)
+    assert code == 2 and doc is None
+    report = json.loads(err)
+    assert report["error"] == "SchemaError"
+    if where == "channel2":
+        assert report["detail"] == "channel2: maps M_2 -> M_2, unlike channel1"
+    else:
+        assert report["detail"] == f"{where}: 2 element(s) for 3 Kraus operator(s)"
+
+
 # document, JSON path to a value, the invalid value, and the path the error names;
 # FactorAlgebra, FactorizationCertificate, ChoiMatrix and the Hermitian test reject them
 INVALID_DOCUMENTS = {

@@ -241,10 +241,14 @@ def test_complete_isometry_matches_gram_schmidt_loop():
     e = np.zeros((9, 3), dtype=complex)
     e[[0, 4, 8], [0, 1, 2]] = 1.0  # columns of the identity: exact zero pivots
     cases.append(e)
+    cases.append(np.zeros((70, 0)))  # nothing to continue: I_70, over two panels
+    cases.append(random_isometry(rng, 5, 5))  # nothing to add: the unitary itself
     for v in cases:
         u = complete_isometry(v)
         assert np.abs(u - reference_complete_isometry(v)).max() <= 1e-12
         assert np.abs(u.conj().T @ u - np.eye(len(v))).max() <= 1e-12
+    assert np.array_equal(complete_isometry(cases[-2]), np.eye(70))
+    assert np.array_equal(complete_isometry(cases[-1]), cases[-1])
 
 
 def test_complete_isometry_at_large_abs_tol():

@@ -3,6 +3,7 @@ import pytest
 
 from chanfact import (
     DiagonalNotOne,
+    DimensionMismatch,
     GramVectors,
     NotHermitian,
     NotPSD,
@@ -39,6 +40,8 @@ def test_validate_correlation_errors():
         validate_correlation(np.diag([1.0, 2.0]))
     with pytest.raises(NotPSD):
         validate_correlation(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        validate_correlation(np.ones((2, 3)))
 
 
 def test_correlation_rank_is_the_gram_vector_count():
