@@ -49,6 +49,29 @@ from .schur import (
 )
 
 
+class _UsageError(Exception):
+    """argparse's message for a command line it cannot parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers inherit it: report as JSON in main, not usage text
+        raise _UsageError(message)
+
+
+# name -> (help, input documents or None, handler), filled by @_command below
+_COMMANDS: dict = {}
+
+
+def _command(name: str, help: str, inputs: str | None):
+    """Declare a subcommand; main checks the count of ``inputs``, unless it is None."""
+
+    def declare(handler):
+        _COMMANDS[name] = (help, inputs, handler)
+        return handler
+
+    return declare
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", action="append", default=[], metavar="FILE",
@@ -61,41 +84,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="suppress the human-readable summary on stderr")
 
-    parser = argparse.ArgumentParser(prog="chanfact",
-                                     description="quantum channel factorization toolkit")
+    parser = _Parser(prog="chanfact", description="quantum channel factorization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("choi", parents=[common], help="Choi matrix of a Kraus channel")
-    sub.add_parser("kraus", parents=[common], help="Kraus operators of a Choi matrix")
-    sub.add_parser("check", parents=[common], help="trace preservation and unitality")
-    p = sub.add_parser("apply", parents=[common], help="apply a channel to a matrix")
-    p.add_argument("--adjoint", action="store_true", help="apply the adjoint instead")
-    sub.add_parser("dilate", parents=[common], help="Stinespring dilation unitary")
-    p = sub.add_parser("complement", parents=[common],
-                       help="apply the complementary channel to a matrix")
-    p.add_argument("--adjoint", action="store_true", help="apply its adjoint instead")
-    sub.add_parser("kernel-basis", parents=[common],
-                   help="Hermitian basis of the complement adjoint kernel")
-    sub.add_parser("schur", parents=[common], help="Schur channel of a correlation matrix")
-    sub.add_parser("gram", parents=[common], help="Gram vectors of a correlation matrix")
-    sub.add_parser("lmi-build", parents=[common], help="LMI system of a channel")
-    sub.add_parser("lmi-check", parents=[common], help="membership of a point in a system")
-    sub.add_parser("extract", parents=[common], help="block factorization of a solution")
-    sub.add_parser("verify", parents=[common], help="verify a factorization certificate")
-    p = sub.add_parser("combine", parents=[common],
-                       help="convex combination of two certified channels")
-    p.add_argument("--t", type=float, required=True, help="weight of the first channel")
-    sub.add_parser("decompose", parents=[common],
-                   help="split a channel along its certificate's factors")
-    sub.add_parser("extremality", parents=[common],
-                   help="extreme-point test and candidate consistency reports")
-    p = sub.add_parser("example", parents=[common], help="built-in worked examples")
-    p.add_argument("name", choices=["hm"], help="example name")
-    p.add_argument("--verify", action="store_true", help="run the full example pipeline")
+    p = {name: sub.add_parser(name, parents=[common], help=help)
+         for name, (help, _, _) in _COMMANDS.items()}
+    p["apply"].add_argument("--adjoint", action="store_true", help="apply the adjoint instead")
+    p["complement"].add_argument("--adjoint", action="store_true",
+                                 help="apply its adjoint instead")
+    p["combine"].add_argument("--t", type=float, required=True, help="weight of the first channel")
+    p["example"].add_argument("name", choices=["hm"], help="example name")
+    p["example"].add_argument("--verify", action="store_true",
+                              help="run the full example pipeline")
     return parser
 
 
-def _need(docs: list, count: int, what: str) -> None:
+def _need(docs: list, what: str) -> None:
+    count = len(what.split(", "))
     if len(docs) != count:
         raise SchemaError(f"expected {count} input file(s): {what}; got {len(docs)}")
 
@@ -132,22 +136,22 @@ def _report_doc(report) -> dict:
     }
 
 
+@_command("choi", "Choi matrix of a Kraus channel", "channel")
 def _cmd_choi(args, docs, tol):
-    _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
     c = choi_from_kraus(k)
     return jsonio.choi_to_json(c), f"choi: {c.matrix.shape[0]}x{c.matrix.shape[1]} matrix", 0
 
 
+@_command("kraus", "Kraus operators of a Choi matrix", "choi matrix")
 def _cmd_kraus(args, docs, tol):
-    _need(docs, 1, "choi matrix")
     c = jsonio.choi_from_json(docs[0])
     k = kraus_from_choi(c, tol)
     return jsonio.channel_to_json(k), f"kraus: {k.num_kraus} operator(s)", 0
 
 
+@_command("check", "trace preservation and unitality", "channel")
 def _cmd_check(args, docs, tol):
-    _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
     checks = channel_checks(k, tol)
     doc = {
@@ -159,8 +163,8 @@ def _cmd_check(args, docs, tol):
     return doc, f"check: {summary}", 0
 
 
+@_command("apply", "apply a channel to a matrix", "channel, matrix")
 def _cmd_apply(args, docs, tol):
-    _need(docs, 2, "channel, matrix")
     k = jsonio.channel_from_json(docs[0])
     x = jsonio.matrix_from_json(docs[1])
     if args.adjoint:
@@ -172,16 +176,16 @@ def _cmd_apply(args, docs, tol):
     return {"matrix": jsonio.matrix_to_json(y)}, f"apply: {y.shape[0]}x{y.shape[1]} result", 0
 
 
+@_command("dilate", "Stinespring dilation unitary", "channel")
 def _cmd_dilate(args, docs, tol):
-    _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
     u, p = stinespring_dilation(k, tol)
     doc = {"p": p, "unitary": jsonio.matrix_to_json(u)}
     return doc, f"dilate: {u.shape[0]}x{u.shape[1]} unitary, p={p}", 0
 
 
+@_command("complement", "apply the complementary channel to a matrix", "channel, matrix")
 def _cmd_complement(args, docs, tol):
-    _need(docs, 2, "channel, matrix")
     k = jsonio.channel_from_json(docs[0])
     x = jsonio.matrix_from_json(docs[1])
     if args.adjoint:
@@ -193,37 +197,37 @@ def _cmd_complement(args, docs, tol):
     return {"matrix": jsonio.matrix_to_json(y)}, f"complement: {y.shape[0]}x{y.shape[1]} result", 0
 
 
+@_command("kernel-basis", "Hermitian basis of the complement adjoint kernel", "channel")
 def _cmd_kernel_basis(args, docs, tol):
-    _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
     basis = selfadjoint_kernel_basis(k, tol)
     doc = {"d": len(basis), "z": [jsonio.matrix_to_json(zi) for zi in basis]}
     return doc, f"kernel-basis: d={len(basis)}", 0
 
 
+@_command("schur", "Schur channel of a correlation matrix", "correlation")
 def _cmd_schur(args, docs, tol):
-    _need(docs, 1, "correlation")
     c = validate_correlation(jsonio.correlation_matrix_from_json(docs[0]), tol)
     k = schur_channel(c)
     return jsonio.channel_to_json(k), f"schur: {k.num_kraus} diagonal Kraus operator(s)", 0
 
 
+@_command("gram", "Gram vectors of a correlation matrix", "correlation")
 def _cmd_gram(args, docs, tol):
-    _need(docs, 1, "correlation")
     c = validate_correlation(jsonio.correlation_matrix_from_json(docs[0]), tol)
     w = gram_from_correlation(c)
     return jsonio.gram_to_json(w), f"gram: {w.n} vectors in C^{w.p}", 0
 
 
+@_command("lmi-build", "LMI system of a channel", "channel")
 def _cmd_lmi_build(args, docs, tol):
-    _need(docs, 1, "channel")
     k = jsonio.channel_from_json(docs[0])
     s = build_lmi(k, tol)
     return jsonio.lmi_to_json(s), f"lmi-build: p={s.p}, d={s.d}", 0
 
 
+@_command("lmi-check", "membership of a point in a system", "lmi system, point")
 def _cmd_lmi_check(args, docs, tol):
-    _need(docs, 2, "lmi system, point")
     s = jsonio.lmi_from_json(docs[0], tol=tol)
     point = jsonio.point_from_json(docs[1], tol=tol)
     _need_coefficients(point, s.d, "point")
@@ -231,8 +235,8 @@ def _cmd_lmi_check(args, docs, tol):
     return _membership_doc(mem), f"lmi-check: psd={mem.psd}, rank={mem.rank}", 0 if mem.psd else 1
 
 
+@_command("extract", "block factorization of a solution", "lmi system, point")
 def _cmd_extract(args, docs, tol):
-    _need(docs, 2, "lmi system, point")
     s = jsonio.lmi_from_json(docs[0], tol=tol)
     point = jsonio.point_from_json(docs[1], tol=tol)
     _need_coefficients(point, s.d, "point")
@@ -241,15 +245,16 @@ def _cmd_extract(args, docs, tol):
     return doc, f"extract: {len(blocks)} block(s) of size {point.k}", 0
 
 
+@_command("verify", "verify a factorization certificate", "channel, certificate")
 def _cmd_verify(args, docs, tol):
-    _need(docs, 2, "channel, certificate")
     k, cert = _certified(docs, 0, "")
     report = verify_certificate(k, cert, tol)
     return _report_doc(report), f"verify: pass={report.passed}", 0 if report.passed else 1
 
 
+@_command("combine", "convex combination of two certified channels",
+          "channel, certificate, channel, certificate")
 def _cmd_combine(args, docs, tol):
-    _need(docs, 4, "channel, certificate, channel, certificate")
     k1, c1 = _certified(docs, 0, "1")
     k2, c2 = _certified(docs, 2, "2")
     if (k2.dim_in, k2.dim_out) != (k1.dim_in, k1.dim_out):
@@ -263,8 +268,8 @@ def _cmd_combine(args, docs, tol):
     return doc, f"combine: {channel.num_kraus} Kraus operator(s)", 0
 
 
+@_command("decompose", "split a channel along its certificate's factors", "channel, certificate")
 def _cmd_decompose(args, docs, tol):
-    _need(docs, 2, "channel, certificate")
     k, cert = _certified(docs, 0, "")
     components = decompose_by_factors(k, cert, tol)
     doc = {
@@ -280,6 +285,7 @@ def _cmd_decompose(args, docs, tol):
     return doc, f"decompose: {len(components)} component(s)", 0
 
 
+@_command("extremality", "extreme-point test and candidate consistency reports", None)
 def _cmd_extremality(args, docs, tol):
     if not docs:
         raise SchemaError("expected a channel input, then zero or more points")
@@ -352,6 +358,7 @@ def _hm_verification(tol: Tolerance) -> tuple[dict, int]:
     return doc, 0 if ok else 1
 
 
+@_command("example", "built-in worked examples", None)
 def _cmd_example(args, docs, tol):
     if docs:
         raise SchemaError("example takes no input files")
@@ -367,34 +374,14 @@ def _cmd_example(args, docs, tol):
     return doc, "example hm: correlation, Gram vectors, kernel basis", 0
 
 
-_HANDLERS = {
-    "choi": _cmd_choi,
-    "kraus": _cmd_kraus,
-    "check": _cmd_check,
-    "apply": _cmd_apply,
-    "dilate": _cmd_dilate,
-    "complement": _cmd_complement,
-    "kernel-basis": _cmd_kernel_basis,
-    "schur": _cmd_schur,
-    "gram": _cmd_gram,
-    "lmi-build": _cmd_lmi_build,
-    "lmi-check": _cmd_lmi_check,
-    "extract": _cmd_extract,
-    "verify": _cmd_verify,
-    "combine": _cmd_combine,
-    "decompose": _cmd_decompose,
-    "extremality": _cmd_extremality,
-    "example": _cmd_example,
-}
-
-
 def _emit_error(name: str, detail: str) -> None:
     sys.stderr.write(jsonio.dumps({"error": name, "detail": detail}) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        _, inputs, handler = _COMMANDS[args.command]
         tol = Tolerance(abs_tol=args.tol, rel_rank_tol=args.rank_tol)
         docs = []
         for path in args.input:
@@ -403,8 +390,13 @@ def main(argv: list[str] | None = None) -> int:
                     docs.append(json.load(fh))
                 except RecursionError:
                     raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
+        if inputs is not None:
+            _need(docs, inputs)
         with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite result below
-            doc, summary, code = _HANDLERS[args.command](args, docs, tol)
+            doc, summary, code = handler(args, docs, tol)
+    except _UsageError as exc:
+        _emit_error("UsageError", str(exc))
+        return 2
     except SchemaError as exc:
         _emit_error("SchemaError", str(exc))
         return 2

@@ -197,15 +197,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return _pairs(v, v.shape)
 
 
-def vector_from_json(obj, where: str = "vector") -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"{where}: expected a nonempty list")
-    fast = _complex_array_from(obj, (len(obj),))
-    if fast is not None:
-        return fast
-    return np.array([_complex_from(entry, f"{where}[{i}]") for i, entry in enumerate(obj)])
-
-
 def channel_to_json(k: KrausChannel) -> dict:
     return {
         "dim_in": k.dim_in,

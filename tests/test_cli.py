@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from chanfact import (
     linalg,
     schur_channel_from_gram,
 )
-from chanfact.cli import _build_parser, main
+from chanfact.cli import _COMMANDS, _build_parser, main
 from chanfact.factorization import WEIGHT_SUM_TOL
 from helpers import amplitude_damping, haar_unitary, phase_flip_over_two_m2, reference_dumps
 
@@ -367,6 +368,62 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "check", "-i", ch, "--tol", "-3")
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["verify", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["combine", "-i", "x"], "the following arguments are required: --t"),
+        (["example", "nope"], "argument name: invalid choice: 'nope'"),
+    ],
+    ids=["bad float", "no subcommand", "combine without --t", "unknown example"],
+)
+def test_usage_error_is_one_json_line(capsys, argv, detail):
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc is None
+    assert len(err.splitlines()) == 1
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert report["detail"].startswith(detail)
+
+
+# the input documents of every subcommand that takes a fixed number of them
+FIXED_INPUTS = {
+    "choi": "channel", "kraus": "choi matrix", "check": "channel",
+    "apply": "channel, matrix", "dilate": "channel", "complement": "channel, matrix",
+    "kernel-basis": "channel", "schur": "correlation", "gram": "correlation",
+    "lmi-build": "channel", "lmi-check": "lmi system, point", "extract": "lmi system, point",
+    "verify": "channel, certificate", "combine": "channel, certificate, channel, certificate",
+    "decompose": "channel, certificate",
+}
+
+
+@pytest.mark.parametrize("command", list(FIXED_INPUTS))
+def test_wrong_input_count_exits_2(tmp_path, capsys, command):
+    what = FIXED_INPUTS[command]
+    count = len(what.split(", "))
+    extra = ["--t", "0.5"] if command == "combine" else []
+    empty = write(tmp_path / "empty.json", {})
+    for got in (count - 1, count + 1):
+        code, doc, err = run(capsys, command, *extra, *["-i", empty] * got)
+        assert code == 2 and doc is None
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "detail": f"expected {count} input file(s): {what}; got {got}",
+        }
+
+
+def test_every_declared_subcommand_is_parsed_and_has_help(capsys):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+    assert set(_COMMANDS) == set(FIXED_INPUTS) | {"extremality", "example"}
+    for command in _COMMANDS:
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: chanfact {command}")
 
 
 def test_over_deep_nesting_exits_2(tmp_path, capsys):
